@@ -1,5 +1,5 @@
-// Batched statement execution: the concurrent stage scheduler and
-// Database::ExecuteBatch versus one-at-a-time Execute.
+// Batched statement execution: Database::ExecuteBatch versus one-at-a-time
+// Execute.
 //
 // Independent statements (QQR/CPD over disjoint relations) run concurrently
 // over one shared ExecContext and query cache; the thread budget is split
@@ -17,7 +17,6 @@
 #include "bench_common.h"
 #include "core/query_cache.h"
 #include "matrix/parallel.h"
-#include "rel/operators.h"
 #include "sql/database.h"
 #include "workload/synthetic.h"
 
@@ -111,19 +110,13 @@ void RunMixedScript(int64_t tuples, int relations, int app_cols) {
   // SELECT over another base table between them. Barrier-serial execution
   // (one statement at a time, the old ExecuteBatch semantics for DDL) is
   // the baseline; the dependency scheduler overlaps each CTAS with the
-  // SELECTs that don't touch its table and only fences the per-chain
-  // consumer.
-  // Two scheduled variants: level-synchronized waves (every statement at
-  // conflict depth d waits for all of depth d-1) versus per-statement
-  // readiness (a statement launches when its own dependencies finish). The
-  // script's disjoint chains make the difference visible: under waves one
-  // slow CTAS holds back every chain's consumer, under readiness only its
-  // own.
+  // SELECTs that don't touch its table, and a statement launches when its
+  // own dependencies finish, so one slow CTAS holds back only its own
+  // chain's consumer.
   PaperTable table(
-      "Mixed DDL+SELECT script: barrier-serial vs. wave-scheduled vs. "
-      "readiness-scheduled (per-statement effect analysis, "
-      "Database::ExecuteBatch)",
-      {"thread budget", "barrier-serial", "waves", "readiness", "speedup",
+      "Mixed DDL+SELECT script: barrier-serial vs. readiness-scheduled "
+      "(per-statement effect analysis, Database::ExecuteBatch)",
+      {"thread budget", "barrier-serial", "readiness", "speedup",
        "invalidations"});
   const std::string shape =
       std::to_string(tuples) + "x" + std::to_string(app_cols);
@@ -142,25 +135,16 @@ void RunMixedScript(int64_t tuples, int relations, int app_cols) {
   for (int budget : {1, 2, 4}) {
     const int kReps = BenchReps(3);
     double serial = 0;
-    double waves = 0;
     double scheduled = 0;
     QueryCache::Counters c;
     for (int rep = 0; rep < kReps; ++rep) {
       sql::Database serial_db =
           MakeDatabase(tuples, relations, app_cols, budget);
-      sql::Database waves_db =
-          MakeDatabase(tuples, relations, app_cols, budget);
-      waves_db.rma_options.batch_schedule = BatchSchedule::kWaves;
       sql::Database batch_db =
           MakeDatabase(tuples, relations, app_cols, budget);
       const double s = TimeIt([&] {
         for (const std::string& stmt : statements) {
           serial_db.Execute(stmt).ValueOrDie();
-        }
-      });
-      const double w = TimeIt([&] {
-        for (auto& r : waves_db.ExecuteBatch(statements)) {
-          r.ValueOrDie();
         }
       });
       const double b = TimeIt([&] {
@@ -169,23 +153,19 @@ void RunMixedScript(int64_t tuples, int relations, int app_cols) {
         }
       });
       if (rep == 0 || s < serial) serial = s;
-      if (rep == 0 || w < waves) waves = w;
       if (rep == 0 || b < scheduled) scheduled = b;
       c = batch_db.query_cache()->counters();
     }
     char speedup[32];
     std::snprintf(speedup, sizeof(speedup), "%.2fx",
                   scheduled > 0 ? serial / scheduled : 0.0);
-    table.AddRow({std::to_string(budget), Secs(serial), Secs(waves),
-                  Secs(scheduled), speedup,
-                  std::to_string(c.plan_invalidations)});
+    table.AddRow({std::to_string(budget), Secs(serial), Secs(scheduled),
+                  speedup, std::to_string(c.plan_invalidations)});
     const std::string b = std::to_string(budget);
     BenchJson::Record("mixed/threads=" + b + "/serial", "ctas+cpd+select",
                       shape, serial, bytes, "auto");
-    BenchJson::Record("mixed/threads=" + b + "/waves", "ctas+cpd+select",
-                      shape, waves, bytes, "auto");
-    // "scheduled" keeps its historical name (baseline continuity); it now
-    // measures the default readiness schedule.
+    // "scheduled" keeps its historical name (baseline continuity); it
+    // measures the readiness schedule.
     BenchJson::Record("mixed/threads=" + b + "/scheduled", "ctas+cpd+select",
                       shape, scheduled, bytes, "auto");
   }
@@ -193,64 +173,6 @@ void RunMixedScript(int64_t tuples, int relations, int app_cols) {
       "per-table plan invalidation keeps the invalidations column at the "
       "count of plans actually reading a mutated table (the per-chain "
       "SELECT over each dropped c_i), never the whole cache");
-  table.Print();
-}
-
-void RunSubtreeScheduler(int64_t tuples, int app_cols) {
-  const std::string shape =
-      std::to_string(tuples) + "x" + std::to_string(app_cols);
-  const int64_t bytes = tuples * app_cols * static_cast<int64_t>(sizeof(double));
-  // One statement whose expression tree has two independent non-leaf
-  // subtrees: ADD(QQR(a), QQR(b)). The stage scheduler forks the right
-  // subtree onto the worker pool and joins at the add barrier.
-  PaperTable table(
-      "Concurrent plan subtrees within one statement "
-      "(ADD over two independent QQR pipelines)",
-      {"thread budget", "serial subtrees", "concurrent subtrees", "speedup"});
-  for (int budget : {1, 2, 4}) {
-    sql::Database db;
-    db.rma_options.max_threads = budget;
-    db.Register("a", workload::UniformRelation(tuples, app_cols, 21, -10.0,
-                                               10.0, false, "a"))
-        .Abort();
-    std::vector<std::string> b_names = {"id2"};
-    for (int c = 0; c < app_cols; ++c) {
-      b_names.push_back("b" + std::to_string(c));
-    }
-    db.Register("b",
-                rel::RenameAll(workload::UniformRelation(tuples, app_cols, 22,
-                                                         -10.0, 10.0, false,
-                                                         "b"),
-                               b_names)
-                    .ValueOrDie())
-        .Abort();
-    const std::string q =
-        "SELECT * FROM ADD(QQR(a BY id) BY id, QQR(b BY id2) BY id2)";
-
-    // Warm the plan and prepared caches once so both measured runs compare
-    // steady-state kernel work (the toggle below does not affect the plan
-    // fingerprint — scheduling strategy is not plan content); best-of-3 on
-    // the warm runs for gate-stable numbers.
-    db.Query(q).ValueOrDie();
-    db.rma_options.concurrent_subtrees = false;
-    const double serial =
-        TimeBest(BenchReps(3), [&] { db.Query(q).ValueOrDie(); });
-    db.rma_options.concurrent_subtrees = true;
-    const double concurrent =
-        TimeBest(BenchReps(3), [&] { db.Query(q).ValueOrDie(); });
-    char speedup[32];
-    std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                  concurrent > 0 ? serial / concurrent : 0.0);
-    table.AddRow({std::to_string(budget), Secs(serial), Secs(concurrent),
-                  speedup});
-    const std::string b = std::to_string(budget);
-    BenchJson::Record("subtrees/threads=" + b + "/serial", "add(qqr,qqr)",
-                      shape, serial, bytes, "auto");
-    BenchJson::Record("subtrees/threads=" + b + "/concurrent", "add(qqr,qqr)",
-                      shape, concurrent, bytes, "auto");
-  }
-  table.AddNote("the fork engages at budget >= 2; the join sits at the "
-                "shape-dependent add barrier");
   table.Print();
 }
 
@@ -262,7 +184,6 @@ int main(int argc, char** argv) {
   BenchJson::Init("bench_batch", &argc, argv);
   RunBatchVsSerial(Scaled(60000), /*relations=*/4, /*app_cols=*/24);
   RunMixedScript(Scaled(60000), /*relations=*/3, /*app_cols=*/24);
-  RunSubtreeScheduler(Scaled(60000), /*app_cols=*/24);
   BenchJson::Flush();
   return 0;
 }

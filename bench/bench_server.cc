@@ -18,6 +18,7 @@
 
 #include "bench_common.h"
 #include "client/client.h"
+#include "matrix/parallel.h"
 #include "server/server.h"
 #include "sql/database.h"
 #include "workload/synthetic.h"
@@ -143,7 +144,13 @@ void RunServerBench(int64_t tuples, int app_cols, int clients, int reps) {
     server.Stop();
     const server::ServerStats stats = server.stats();
 
-    const int capacity = budget > 0 ? budget : stats.peak_in_flight;
+    // Resolved as Server::Start does: 0 derives the admission bound from
+    // the database's thread budget.
+    const int capacity =
+        budget > 0 ? budget
+                   : (db.rma_options.max_threads > 0
+                          ? db.rma_options.max_threads
+                          : DefaultThreadCount());
     if (stats.peak_in_flight > capacity) {
       std::fprintf(stderr,
                    "FAIL: admission peak %d exceeded the budget %d\n",
@@ -158,8 +165,8 @@ void RunServerBench(int64_t tuples, int app_cols, int clients, int reps) {
                   std::to_string(stats.rows_streamed)});
     BenchJson::Record("server_mixed_budget_" + label, "server", shape,
                       via_server, 0, "", 0);
-    BenchJson::Record("server_mixed_inprocess", "execute", shape, in_process,
-                      0, "", 0);
+    BenchJson::Record("server_mixed_inprocess_budget_" + label, "execute",
+                      shape, in_process, 0, "", 0);
   }
   if (mismatches.load() != 0) {
     std::fprintf(stderr,

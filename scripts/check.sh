@@ -11,9 +11,9 @@
 # The matrix: configure + build + ctest in Debug and Release with
 # warnings-as-errors on src/, plus an AddressSanitizer pass over the test
 # suite (the query cache's shared-ownership paths are leak/UAF-checked), a
-# ThreadSanitizer pass (the concurrent stage scheduler, batched statement
-# execution, and the shared query cache are race-checked, including the
-# concurrency stress test), and a UBSan pass (the SIMD layer's tail-pointer
+# ThreadSanitizer pass (sharded operations, batched statement execution,
+# and the shared query cache are race-checked, including the concurrency
+# stress test), and a UBSan pass (the SIMD layer's tail-pointer
 # arithmetic and the piecewise cost model) — the same matrix CI runs. The
 # ASan and UBSan suites run twice: vectorized (default dispatch) and with
 # RMA_NO_SIMD=1, so both sides of every kernel stay sanitizer-covered.
@@ -48,6 +48,9 @@ run_matrix() {
 
   echo "=== storage smoke (Release) ==="
   scripts/storage_smoke.sh build-check-release
+
+  echo "=== e2e smoke (every rma_e2e workload's oracle) ==="
+  python3 rma_e2e/run.py --smoke
 
   echo "=== AddressSanitizer ==="
   cmake -B build-check-asan -S . \

@@ -47,8 +47,8 @@ bool LeafAppSchemaSorted(const RmaExprPtr& leaf,
 
 /// One bottom-up rewrite pass. Returns the (possibly shared) node and
 /// appends fired rule names to `report`.
-RmaExprPtr RewritePass(const RmaExprPtr& e, const RewriteRules& rules,
-                       RewriteReport* report, bool* changed) {
+RmaExprPtr RewritePass(const RmaExprPtr& e, RewriteReport* report,
+                       bool* changed) {
   if (e == nullptr || e->kind != RmaExpr::Kind::kOp) return e;
 
   // Children first.
@@ -56,7 +56,7 @@ RmaExprPtr RewritePass(const RmaExprPtr& e, const RewriteRules& rules,
   std::vector<RmaExprPtr> kids;
   bool kid_changed = false;
   for (const auto& c : e->children) {
-    RmaExprPtr k = RewritePass(c, rules, report, &kid_changed);
+    RmaExprPtr k = RewritePass(c, report, &kid_changed);
     kids.push_back(std::move(k));
   }
   if (kid_changed) {
@@ -78,7 +78,7 @@ RmaExprPtr RewritePass(const RmaExprPtr& e, const RewriteRules& rules,
   const bool unary = node->children.size() == 1 && node->orders.size() == 1;
 
   // mmu(tra(x BY U) BY C, y BY V) → cpd(x BY U, y BY V).
-  if (rules.mmu_tra_to_cpd && binary && node->op == MatrixOp::kMmu &&
+  if (binary && node->op == MatrixOp::kMmu &&
       node->orders[0] == kContextOrder &&
       IsSubstitutableTra(node->children[0])) {
     const RmaExprPtr& tra = node->children[0];
@@ -89,7 +89,7 @@ RmaExprPtr RewritePass(const RmaExprPtr& e, const RewriteRules& rules,
   }
 
   // mmu(x BY U, tra(y BY V) BY C) → opd(x BY U, y BY V).
-  if (rules.mmu_tra_to_opd && binary && node->op == MatrixOp::kMmu &&
+  if (binary && node->op == MatrixOp::kMmu &&
       node->orders[1] == kContextOrder &&
       IsSubstitutableTra(node->children[1]) &&
       LeafAppSchemaSorted(node->children[1]->children[0],
@@ -102,7 +102,7 @@ RmaExprPtr RewritePass(const RmaExprPtr& e, const RewriteRules& rules,
   }
 
   // tra(tra(x BY U) BY C) → relabel(x, U).
-  if (rules.eliminate_double_tra && unary && node->op == MatrixOp::kTra &&
+  if (unary && node->op == MatrixOp::kTra &&
       node->orders[0] == kContextOrder &&
       IsSubstitutableTra(node->children[0])) {
     const RmaExprPtr& tra = node->children[0];
@@ -114,7 +114,7 @@ RmaExprPtr RewritePass(const RmaExprPtr& e, const RewriteRules& rules,
   }
 
   // rnk(tra(x BY U) BY C) → rnk(x BY U).
-  if (rules.rnk_of_tra && unary && node->op == MatrixOp::kRnk &&
+  if (unary && node->op == MatrixOp::kRnk &&
       node->orders[0] == kContextOrder &&
       IsSubstitutableTra(node->children[0])) {
     const RmaExprPtr& tra = node->children[0];
@@ -123,7 +123,7 @@ RmaExprPtr RewritePass(const RmaExprPtr& e, const RewriteRules& rules,
   }
 
   // det(tra(x BY U) BY C) → det(x BY U).
-  if (rules.det_of_tra && unary && node->op == MatrixOp::kDet &&
+  if (unary && node->op == MatrixOp::kDet &&
       node->orders[0] == kContextOrder &&
       IsSubstitutableTra(node->children[0]) &&
       LeafAppSchemaSorted(node->children[0]->children[0],
@@ -217,7 +217,7 @@ RmaExprPtr RewriteExpression(const RmaExprPtr& expr, const RewriteRules& rules,
   // is a safety net, not a tuning knob.
   for (int round = 0; round < 8; ++round) {
     bool changed = false;
-    cur = RewritePass(cur, rules, report, &changed);
+    cur = RewritePass(cur, report, &changed);
     if (!changed) break;
   }
   return cur;

@@ -25,7 +25,7 @@ namespace rma {
 /// multiset of tuples) as the original; only the physical row order may
 /// differ, which relations do not carry.
 ///
-/// Rules (toggled via RewriteRules in core/options.h):
+/// Rules (switched on and off together by RewriteRules::enabled):
 ///
 ///   mmu(tra(x BY U) BY C, y BY V)  →  cpd(x BY U, y BY V)
 ///     µ_C(tra(x)) is µ_U(x)ᵀ with rows permuted from schema order to

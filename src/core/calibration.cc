@@ -642,19 +642,17 @@ CostProfile ProbeCostProfile(const ProbeOptions& opts) {
   // arithmetic rather than footprint — the breakpoints still separate
   // "small" from "streaming" shapes, which is what the planner needs.
   std::vector<int64_t> breakpoints;
-  if (opts.cache_breakpoints) {
-    const CacheSizes caches = DetectCacheSizes();
-    for (int64_t bytes : {caches.l2_bytes, caches.l3_bytes}) {
-      const int64_t bp = bytes / 16;
-      if (bp > n1 && (breakpoints.empty() || bp > breakpoints.back())) {
-        breakpoints.push_back(bp);
-      }
+  const CacheSizes caches = DetectCacheSizes();
+  for (int64_t bytes : {caches.l2_bytes, caches.l3_bytes}) {
+    const int64_t bp = bytes / 16;
+    if (bp > n1 && (breakpoints.empty() || bp > breakpoints.back())) {
+      breakpoints.push_back(bp);
     }
-    // Keep the base two-point fit inside the first regime so rates[0] is
-    // genuinely the cache-resident rate.
-    if (!breakpoints.empty()) {
-      n2 = std::max(2 * n1, std::min(n2, breakpoints.front()));
-    }
+  }
+  // Keep the base two-point fit inside the first regime so rates[0] is
+  // genuinely the cache-resident rate.
+  if (!breakpoints.empty()) {
+    n2 = std::max(2 * n1, std::min(n2, breakpoints.front()));
   }
 
   for (int i = 0; i < kNumCostKernels; ++i) {

@@ -195,10 +195,6 @@ struct ProbeOptions {
   int64_t small_elements = 1 << 12;
   int64_t large_elements = 1 << 16;
   int repetitions = 3;  ///< best-of-N to shed scheduler noise
-  /// Probe additional sizes bracketing the L2/L3 cache boundaries and fit a
-  /// piecewise rate per regime (KernelCost::rates). Off: the legacy
-  /// two-point single-rate fit.
-  bool cache_breakpoints = true;
   /// Ceiling on any single probe's element count. Regimes whose sizes lie
   /// entirely above it inherit the previous regime's rate instead of being
   /// probed (keeps the probe pass bounded on machines with huge L3).
@@ -207,8 +203,8 @@ struct ProbeOptions {
 
 /// Times the planner's kernel families (BAT streaming/axpy/decomposition/
 /// fetch, dense flops, gather/scatter strided copies, argsort) at two sizes
-/// and fits a KernelCost per family; with `cache_breakpoints` it also times
-/// sizes past the L2/L3 boundaries and fits per-regime rates. The result is
+/// and fits a KernelCost per family, then times sizes past the L2/L3
+/// boundaries and fits per-regime rates (KernelCost::rates). The result is
 /// refinable.
 CostProfile ProbeCostProfile(const ProbeOptions& opts = ProbeOptions());
 

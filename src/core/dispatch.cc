@@ -279,8 +279,9 @@ Result<Relation> RmaBinary(ExecContext* ctx, MatrixOp op, const Relation& r,
       op == MatrixOp::kCpd && internal::SameAppData(pr, ps);
   OpPlan plan =
       PlanOp(op, ctx->options(), pr.Shape(), &right_shape, self_cross);
-  // The subtree scheduler may have shrunk the thread budget since planning;
-  // clamp the shard count so the recorded plan matches what actually runs.
+  // The planner priced the options' budget; an ambient share (a batch or
+  // server admission share) may be smaller. Clamp the shard count so the
+  // recorded plan matches what actually runs.
   internal::ClampShards(*ctx, &plan);
   ctx->RecordPlan(plan);
   // --- kernel stages ---------------------------------------------------------

@@ -15,8 +15,8 @@ namespace {
 /// One open operation bracket. Ops begin and end on the same thread, so the
 /// bracket lives in thread-local state: RecordStage/RecordPlan/CountPrepared
 /// reach the open entry without taking the context mutex, and concurrent ops
-/// of different threads (batched statements, concurrent subtrees) never see
-/// each other's partial stats.
+/// of different threads (batched statements) never see each other's partial
+/// stats.
 struct OpenOp {
   ExecContext* ctx = nullptr;
   RmaStats stats;
@@ -60,26 +60,6 @@ void AddStage(RmaStats* stats, Stage stage, double seconds) {
       stats->merge_seconds += seconds;
       break;
   }
-}
-
-void AddStats(RmaStats* into, const RmaStats& from) {
-  into->sort_seconds += from.sort_seconds;
-  into->transform_in_seconds += from.transform_in_seconds;
-  into->compute_seconds += from.compute_seconds;
-  into->transform_out_seconds += from.transform_out_seconds;
-  into->morph_seconds += from.morph_seconds;
-  into->merge_seconds += from.merge_seconds;
-  // shard_seconds stays per-op: shard walls overlap in real time, so summing
-  // them across ops would double-count against the wall-clock totals.
-  into->plan_cache_hits += from.plan_cache_hits;
-  into->plan_cache_misses += from.plan_cache_misses;
-  into->prepared_cache_hits += from.prepared_cache_hits;
-  into->prepared_cache_misses += from.prepared_cache_misses;
-  into->prepared_cache_evictions += from.prepared_cache_evictions;
-  into->pool_hits += from.pool_hits;
-  into->pool_misses += from.pool_misses;
-  into->pool_evictions += from.pool_evictions;
-  into->pool_writebacks += from.pool_writebacks;
 }
 
 }  // namespace
@@ -217,28 +197,6 @@ void ExecContext::RecordPlanCache(bool hit) {
 ExecContext::PlanCacheOutcome ExecContext::plan_cache_outcome() const {
   MutexLock lock(mu_);
   return plan_outcome_;
-}
-
-void ExecContext::MergeChild(const ExecContext& child) {
-  // The child is quiescent by contract, but its counters were written under
-  // its own mutex — take it so the reads here have a real acquire edge (and
-  // so the analysis can check them). Contexts form a strict parent<-child
-  // tree and only the parent merges, so the two-lock order cannot cycle.
-  MutexLock child_lock(child.mu_);
-  MutexLock lock(mu_);
-  AddStats(&totals_, child.totals_);
-  if (opts_.stats != nullptr) AddStats(opts_.stats, child.totals_);
-  plans_.insert(plans_.end(), child.plans_.begin(), child.plans_.end());
-  op_stats_.insert(op_stats_.end(), child.op_stats_.begin(),
-                   child.op_stats_.end());
-  cache_hits_ += child.cache_hits_;
-  cache_misses_ += child.cache_misses_;
-}
-
-RmaOptions ExecContext::MakeChildOptions() const {
-  RmaOptions child = opts_;
-  child.stats = nullptr;  // the child's totals are merged back exactly once
-  return child;
 }
 
 int64_t ExecContext::cache_hits() const {

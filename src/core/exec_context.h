@@ -68,13 +68,12 @@ using PreparedArgPtr = std::shared_ptr<const PreparedArg>;
 ///
 /// Thread-safety: stats aggregation, plan recording, and the cache counters
 /// are mutex-guarded, and each op bracket (BeginOp/EndOp) lives in
-/// thread-local state, so concurrent statements of one batch — and child
-/// subtree evaluations merged back via MergeChild — may share one context.
-/// An operation must still begin and end on the same thread (RmaUnary/
-/// RmaBinary run each op on one thread), and mutable_options() must not be
-/// used while other threads execute on the context. plans() and op_stats()
-/// are appended together at op commit, so they stay aligned; read them after
-/// the concurrent work has joined.
+/// thread-local state, so concurrent statements of one batch may share one
+/// context. An operation must still begin and end on the same thread
+/// (RmaUnary/RmaBinary run each op on one thread), and mutable_options()
+/// must not be used while other threads execute on the context. plans() and
+/// op_stats() are appended together at op commit, so they stay aligned; read
+/// them after the concurrent work has joined.
 class ExecContext {
  public:
   ExecContext();
@@ -97,13 +96,9 @@ class ExecContext {
   /// The cache this context borrows from (never null).
   const std::shared_ptr<QueryCache>& cache() const { return cache_; }
 
-  /// Worker threads kernel stages may use (0 = hardware concurrency).
-  int thread_budget() const { return opts_.max_threads; }
-
   /// The budget kernel stages should install: the minimum of the positive
-  /// caps among the ambient ScopedThreadBudget (installed by the stage
-  /// scheduler around a subtree) and the options' max_threads. 0 = no cap
-  /// (hardware concurrency).
+  /// caps among the ambient ScopedThreadBudget (a batch or server admission
+  /// share) and the options' max_threads. 0 = no cap (hardware concurrency).
   int effective_thread_budget() const;
 
   /// Records `seconds` against a stage: the per-op sink (options().stats,
@@ -164,17 +159,6 @@ class ExecContext {
   /// databases never touch the pool fields.
   void RecordPoolDelta(int64_t hits, int64_t misses, int64_t evictions,
                        int64_t writebacks);
-
-  /// Absorbs a quiescent child context (same borrowed cache) created for a
-  /// concurrently evaluated subtree: appends its plans/op_stats in order and
-  /// accumulates its totals and cache counters (also into this context's
-  /// stats sink). The child's sink should be null to avoid double counting —
-  /// MakeChildOptions() arranges that.
-  void MergeChild(const ExecContext& child);
-
-  /// This context's options with the stats sink cleared, for child contexts
-  /// whose totals are merged back via MergeChild.
-  RmaOptions MakeChildOptions() const;
 
   /// Prepared-argument cache, borrowed from cache(). Returns the cached
   /// prepared argument for (r's identity, order, avoid_sort) or null.

@@ -74,9 +74,10 @@ Result<std::vector<BatPtr>> DispatchBinary(ExecContext& ctx,
 // --- shard_exec.cc ----------------------------------------------------------
 
 /// Clamps plan->shards to the context's effective thread budget at dispatch
-/// time (subtree forking may have shrunk it since planning). Dropping under
-/// two shards reverts the plan to the unsharded shape (merge kind and stage
-/// removed), so the recorded plan always matches what actually ran.
+/// time (an ambient admission share may be below the budget the planner
+/// priced). Dropping under two shards reverts the plan to the unsharded
+/// shape (merge kind and stage removed), so the recorded plan always matches
+/// what actually ran.
 void ClampShards(const ExecContext& ctx, OpPlan* plan);
 
 /// Kernel-stage execution of a row-range sharded binary operation

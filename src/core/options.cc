@@ -21,11 +21,6 @@ Status ValidateRmaOptions(const RmaOptions& opts) {
         "RmaOptions::max_threads must be >= 0 (got " +
         std::to_string(opts.max_threads) + "); 0 means hardware concurrency");
   }
-  if (opts.parallel_min_elements < 0) {
-    return Status::Invalid(
-        "RmaOptions::parallel_min_elements must be >= 0 (got " +
-        std::to_string(opts.parallel_min_elements) + ")");
-  }
   if (opts.contiguous_budget_bytes <= 0) {
     return Status::Invalid(
         "RmaOptions::contiguous_budget_bytes must be > 0 (got " +

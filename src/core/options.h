@@ -35,21 +35,6 @@ enum class SortPolicy : int {
   kOptimized = 1,  ///< skip/relax sorting where the result is unaffected
 };
 
-/// How Database::ExecuteBatch orders statements whose effects conflict
-/// (sql/effects.h). Both schedules honour the same dependency DAG and
-/// produce identical results; they differ in how much concurrency they
-/// extract from it.
-enum class BatchSchedule : int {
-  /// Per-statement readiness: a statement launches the moment its own
-  /// dependencies complete. No wave barriers — a slow statement delays only
-  /// its transitive dependents, not unrelated chains.
-  kReadiness = 0,
-  /// Level-synchronized waves (ScheduleWaves): statements at conflict-chain
-  /// depth d all wait for depth d-1 to finish. Simpler, fully deterministic
-  /// wave numbering; kept for comparison and as a conservative fallback.
-  kWaves = 1,
-};
-
 /// Wall-clock breakdown of one relational matrix operation, filled when
 /// RmaOptions::stats is set. Backs the Fig. 13/14 experiments.
 struct RmaStats {
@@ -93,24 +78,12 @@ struct RmaStats {
   }
 };
 
-/// Toggles for the cross-algebra rewrites of `core/algebra.h`. They are
-/// applied by plan-level evaluators (EvaluateExpression and the SQL
-/// executor); individual RmaUnary/RmaBinary calls ignore them.
+/// Switch for the cross-algebra rewrites of `core/algebra.h` (the rule set
+/// is listed there). They are applied by plan-level evaluators
+/// (EvaluateExpression and the SQL executor); individual RmaUnary/RmaBinary
+/// calls ignore them.
 struct RewriteRules {
   bool enabled = true;
-  /// mmu(tra(x BY U) BY C, y BY V) → cpd(x BY U, y BY V).
-  bool mmu_tra_to_cpd = true;
-  /// mmu(x BY U, tra(y BY V) BY C) → opd(x BY U, y BY V); requires the
-  /// application schema of leaf y to be lexicographically sorted.
-  bool mmu_tra_to_opd = true;
-  /// tra(tra(x BY U) BY C) → relabel (no matrix computation at all).
-  bool eliminate_double_tra = true;
-  /// rnk(tra(x BY U) BY C) → rnk(x BY U); rank is transpose-invariant.
-  bool rnk_of_tra = true;
-  /// det(tra(x BY U) BY C) → det(x BY U); requires the application schema
-  /// of leaf x to be lexicographically sorted (else the implicit row
-  /// permutation could flip the determinant's sign).
-  bool det_of_tra = true;
 };
 
 /// Per-call options for relational matrix operations.
@@ -133,22 +106,6 @@ struct RmaOptions {
   /// Installed around kernel execution via ScopedThreadBudget so the whole
   /// matrix layer honours it.
   int max_threads = 0;
-
-  /// Let the concurrent stage scheduler (core/scheduler.h) evaluate
-  /// independent subtrees of a relational-matrix expression on the shared
-  /// worker pool, splitting the thread budget across in-flight subtrees.
-  /// Takes effect only when the effective budget leaves headroom (>= 2);
-  /// results and recorded plan order are identical to serial evaluation.
-  bool concurrent_subtrees = true;
-
-  /// Statement ordering for batched execution (Database::ExecuteBatch).
-  BatchSchedule batch_schedule = BatchSchedule::kReadiness;
-
-  /// Shape floor for offloading a subtree: subtrees whose estimated result
-  /// (rows x application columns, from the lowered plan) stays under this
-  /// many elements run inline — a task dispatch costs more than a tiny
-  /// kernel. 0 = offload whenever the tree structure allows.
-  int64_t parallel_min_elements = 0;
 
   /// Upper bound on row-range shards per operation (>= 1). The planner picks
   /// the actual count from calibrated per-shard costs, capped by this, the
@@ -194,8 +151,8 @@ struct RmaOptions {
 
 /// Rejects out-of-range option values with a descriptive Status instead of
 /// letting them silently fall back downstream: max_shards/shard_min_rows of 0
-/// (or negative), negative max_threads / parallel_min_elements, and a
-/// non-positive contiguous budget are all configuration errors. Checked at
+/// (or negative), a negative max_threads, and a non-positive contiguous
+/// budget are all configuration errors. Checked at
 /// every RmaUnary/RmaBinary entry (and therefore by everything above them).
 Status ValidateRmaOptions(const RmaOptions& opts);
 

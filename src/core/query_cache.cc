@@ -135,13 +135,7 @@ uint64_t QueryCache::OptionsFingerprint(const RmaOptions& opts) {
   h = HashMix(h, static_cast<uint64_t>(opts.max_shards));
   h = HashMix(h, static_cast<uint64_t>(opts.shard_min_rows));
   h = HashMix(h, static_cast<uint64_t>(opts.max_threads));
-  const RewriteRules& rw = opts.rewrites;
-  uint64_t bits = 0;
-  for (bool b : {rw.enabled, rw.mmu_tra_to_cpd, rw.mmu_tra_to_opd,
-                 rw.eliminate_double_tra, rw.rnk_of_tra, rw.det_of_tra}) {
-    bits = (bits << 1) | (b ? 1 : 0);
-  }
-  h = HashMix(h, bits);
+  h = HashMix(h, opts.rewrites.enabled ? 1 : 0);
   // The cost profile prices kernel choices, so it is plan content. The
   // profile fingerprint quantizes per-element rates: EWMA jitter keeps
   // cached plans valid, a materially shifted profile invalidates them.

@@ -242,7 +242,7 @@ void ClampShards(const ExecContext& ctx, OpPlan* plan) {
     plan->shards = shards;
     return;
   }
-  // The subtree fork left us a single slot: a serial sharded run would only
+  // The ambient share left us a single slot: a serial sharded run would only
   // pay the merge, so revert to the unsharded plan shape.
   plan->shards = 1;
   plan->merge = MergeKind::kNone;

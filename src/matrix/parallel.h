@@ -56,15 +56,15 @@ void ParallelFor(int64_t begin, int64_t end,
                  const std::function<void(int64_t, int64_t)>& fn,
                  int64_t min_chunk = 1024, int max_threads = 0);
 
-/// A small persistent worker pool for coarse-grained tasks (concurrent plan
-/// subtrees, batched statements). Kernels keep using ParallelFor for
+/// A small persistent worker pool for coarse-grained tasks (row-range shards
+/// of one operation, batched statements). Kernels keep using ParallelFor for
 /// fine-grained data parallelism; the pool schedules the *structural*
 /// concurrency above them.
 ///
 /// Waiting is cooperative: Wait() executes queued tasks on the waiting
-/// thread while its task is pending, so fork/join recursion (a pool task
-/// that submits and waits on further tasks) cannot deadlock even on a
-/// single-worker pool.
+/// thread while its task is pending, so fork/join recursion (a batched
+/// statement whose operation submits and waits on its shards) cannot
+/// deadlock even on a single-worker pool.
 class ThreadPool {
  public:
   /// One submitted task. `done()` becomes true after the task ran (or was
@@ -113,7 +113,7 @@ class ThreadPool {
   /// waiting (cooperative join). Rethrows the task's exception, if any.
   void Wait(const TaskPtr& task);
 
-  /// The process-wide shared pool used by the stage scheduler and batched
+  /// The process-wide shared pool used by sharded operations and batched
   /// statement execution.
   static ThreadPool& Shared();
 

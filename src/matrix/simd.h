@@ -19,7 +19,8 @@
 /// operation, scalar tail for the last `n % Width()` elements. The reductions
 /// (Dot/Sum/SumSquares) use lane-wise partial sums (and FMA contraction on
 /// x86), so they associate differently from the scalar left fold; callers
-/// must not rely on bit-equality of reduction results across ISAs.
+/// must not rely on bit-equality of reduction results across ISAs. Within
+/// one dispatch path, Dot4 equals Dot per column bit for bit.
 
 #if !defined(RMA_FORCE_SCALAR_BUILD)
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -321,31 +322,50 @@ __attribute__((target("avx2"))) inline void Unpack4Avx2(
 }
 
 // Four dot products sharing one pass over `v`: out[q] = Σ v[i]*c_q[i].
+// Each column repeats DotAvx2 step for step (two accumulators, the 8-then-4
+// loop, HSum of their sum, the scalar tail), so out[q] equals
+// DotAvx2(v, c_q, n) bit for bit.
 __attribute__((target("avx2,fma"))) inline void Dot4Avx2(
     const double* v, const double* c0, const double* c1, const double* c2,
     const double* c3, int64_t n, double out[4]) {
-  __m256d a0 = _mm256_setzero_pd();
-  __m256d a1 = _mm256_setzero_pd();
-  __m256d a2 = _mm256_setzero_pd();
-  __m256d a3 = _mm256_setzero_pd();
+  __m256d a0 = _mm256_setzero_pd(), b0 = _mm256_setzero_pd();
+  __m256d a1 = _mm256_setzero_pd(), b1 = _mm256_setzero_pd();
+  __m256d a2 = _mm256_setzero_pd(), b2 = _mm256_setzero_pd();
+  __m256d a3 = _mm256_setzero_pd(), b3 = _mm256_setzero_pd();
   int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256d v0 = _mm256_loadu_pd(v + i);
+    const __m256d v1 = _mm256_loadu_pd(v + i + 4);
+    a0 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(c0 + i), a0);
+    b0 = _mm256_fmadd_pd(v1, _mm256_loadu_pd(c0 + i + 4), b0);
+    a1 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(c1 + i), a1);
+    b1 = _mm256_fmadd_pd(v1, _mm256_loadu_pd(c1 + i + 4), b1);
+    a2 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(c2 + i), a2);
+    b2 = _mm256_fmadd_pd(v1, _mm256_loadu_pd(c2 + i + 4), b2);
+    a3 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(c3 + i), a3);
+    b3 = _mm256_fmadd_pd(v1, _mm256_loadu_pd(c3 + i + 4), b3);
+  }
   for (; i + 4 <= n; i += 4) {
-    const __m256d vv = _mm256_loadu_pd(v + i);
-    a0 = _mm256_fmadd_pd(vv, _mm256_loadu_pd(c0 + i), a0);
-    a1 = _mm256_fmadd_pd(vv, _mm256_loadu_pd(c1 + i), a1);
-    a2 = _mm256_fmadd_pd(vv, _mm256_loadu_pd(c2 + i), a2);
-    a3 = _mm256_fmadd_pd(vv, _mm256_loadu_pd(c3 + i), a3);
+    const __m256d v0 = _mm256_loadu_pd(v + i);
+    a0 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(c0 + i), a0);
+    a1 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(c1 + i), a1);
+    a2 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(c2 + i), a2);
+    a3 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(c3 + i), a3);
   }
-  out[0] = HSumAvx2(a0);
-  out[1] = HSumAvx2(a1);
-  out[2] = HSumAvx2(a2);
-  out[3] = HSumAvx2(a3);
+  double s0 = HSumAvx2(_mm256_add_pd(a0, b0));
+  double s1 = HSumAvx2(_mm256_add_pd(a1, b1));
+  double s2 = HSumAvx2(_mm256_add_pd(a2, b2));
+  double s3 = HSumAvx2(_mm256_add_pd(a3, b3));
   for (; i < n; ++i) {
-    out[0] += v[i] * c0[i];
-    out[1] += v[i] * c1[i];
-    out[2] += v[i] * c2[i];
-    out[3] += v[i] * c3[i];
+    s0 += v[i] * c0[i];
+    s1 += v[i] * c1[i];
+    s2 += v[i] * c2[i];
+    s3 += v[i] * c3[i];
   }
+  out[0] = s0;
+  out[1] = s1;
+  out[2] = s2;
+  out[3] = s3;
 }
 
 // Rank-4 update: y[i] += a0*x0[i] + a1*x1[i] + a2*x2[i] + a3*x3[i], with the
@@ -511,12 +531,21 @@ inline void Unpack4(const double* src, int64_t stride, int64_t n, double* c0,
 }
 
 /// Four dot products sharing one pass over `v`: out[q] = Σ v[i]*c_q[i].
-/// Lane-associated like Dot.
+/// out[q] is bit-identical to Dot(v, c_q, n) on every dispatch path, so a
+/// caller may split columns between Dot4 and Dot anywhere.
 inline void Dot4(const double* v, const double* c0, const double* c1,
                  const double* c2, const double* c3, int64_t n,
                  double out[4]) {
 #if defined(RMA_SIMD_AVX2)
   if (Enabled()) return detail::Dot4Avx2(v, c0, c1, c2, c3, n, out);
+#elif defined(RMA_SIMD_NEON)
+  if (Enabled()) {
+    out[0] = detail::DotNeon(v, c0, n);
+    out[1] = detail::DotNeon(v, c1, n);
+    out[2] = detail::DotNeon(v, c2, n);
+    out[3] = detail::DotNeon(v, c3, n);
+    return;
+  }
 #endif
   double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
   for (int64_t i = 0; i < n; ++i) {

@@ -71,24 +71,8 @@ Status ApplyOption(RmaOptions* opts, const std::string& key,
     }
     return Status::OK();
   }
-  if (k == "batch_schedule") {
-    const std::string v = ToLower(value);
-    if (v == "readiness") {
-      opts->batch_schedule = BatchSchedule::kReadiness;
-    } else if (v == "waves") {
-      opts->batch_schedule = BatchSchedule::kWaves;
-    } else {
-      return Status::Invalid("batch_schedule must be readiness|waves, got '" +
-                             value + "'");
-    }
-    return Status::OK();
-  }
   if (k == "validate_keys") {
     RMA_ASSIGN_OR_RETURN(opts->validate_keys, ParseBool(value));
-    return Status::OK();
-  }
-  if (k == "concurrent_subtrees") {
-    RMA_ASSIGN_OR_RETURN(opts->concurrent_subtrees, ParseBool(value));
     return Status::OK();
   }
   if (k == "enable_prepared_cache") {
@@ -111,10 +95,6 @@ Status ApplyOption(RmaOptions* opts, const std::string& key,
   }
   if (k == "shard_min_rows") {
     RMA_ASSIGN_OR_RETURN(opts->shard_min_rows, ParseInt(value));
-    return Status::OK();
-  }
-  if (k == "parallel_min_elements") {
-    RMA_ASSIGN_OR_RETURN(opts->parallel_min_elements, ParseInt(value));
     return Status::OK();
   }
   if (k == "contiguous_budget_bytes") {
@@ -317,9 +297,9 @@ Status Session::ExecuteStatement(const std::string& sql, bool* done) {
   Timer timer;
   Result<Relation> result{Status::Invalid("statement not executed")};
   {
-    // The statement's kernels and subtree forks inherit the admission-time
-    // share of the server's thread budget (further capped by the session's
-    // own max_threads via ExecContext::effective_thread_budget).
+    // The statement's kernels inherit the admission-time share of the
+    // server's thread budget (further capped by the session's own
+    // max_threads via ExecContext::effective_thread_budget).
     ScopedThreadBudget budget_share(share);
     result = db_->ExecuteOn(sql, ctx_.get());
   }

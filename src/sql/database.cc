@@ -218,7 +218,7 @@ Result<Relation> Database::ExecuteParsed(Statement&& stmt,
 }
 
 /// Executes one already-parsed batch statement into `results[index]`.
-/// SELECTs go through the plan cache over the wave's shared context; any
+/// SELECTs go through the plan cache over the batch's shared context; any
 /// other kind routes through ExecuteParsed (which creates its own context
 /// and performs its catalog mutation under the catalog lock).
 void Database::ExecuteBatchStatement(Statement&& stmt, const std::string& sql,
@@ -234,11 +234,11 @@ void Database::ExecuteBatchStatement(Statement&& stmt, const std::string& sql,
 
 namespace {
 
-/// Shared scheduler state of one readiness batch (ExecuteBatchReadiness).
-/// The completion handlers of concurrently retiring statements race on this,
-/// so everything they touch sits behind `mu` with analysis-visible
-/// annotations; AdmitLocked is the RMA_REQUIRES helper both admission sites
-/// (initial launch, completion handler) share.
+/// Shared scheduler state of one batch (Database::ExecuteBatch). The
+/// completion handlers of concurrently retiring statements race on this, so
+/// everything they touch sits behind `mu` with analysis-visible annotations;
+/// AdmitLocked is the RMA_REQUIRES helper both admission sites (initial
+/// launch, completion handler) share.
 struct ReadinessState {
   explicit ReadinessState(size_t n) : shares(n, 1), dep_count(n, 0) {}
 
@@ -250,8 +250,7 @@ struct ReadinessState {
   /// Per-statement thread budget, fixed at admission.
   std::vector<int> shares RMA_GUARDED_BY(mu);
   /// Completion counters on the conflict edges: statement j waits on every
-  /// earlier conflicting i, and launches the moment its counter hits zero —
-  /// no wave barrier.
+  /// earlier conflicting i, and launches the moment its counter hits zero.
   std::vector<int> dep_count RMA_GUARDED_BY(mu);
   int in_flight RMA_GUARDED_BY(mu) = 0;
   /// submit() calls whose TaskPtr isn't in `joinable` yet.
@@ -272,7 +271,7 @@ struct ReadinessState {
     // target concurrency: everything in flight once this round is admitted.
     // Shares handed out in earlier rounds are not revisited, so aggregate
     // fan-out can transiently exceed `budget` until those statements retire;
-    // each round on its own sums to at most `budget`, like a wave.
+    // each round on its own sums to at most `budget`.
     for (size_t j : *out) {
       shares[j] = std::max(1, budget / std::max(1, in_flight));
     }
@@ -281,39 +280,56 @@ struct ReadinessState {
 
 }  // namespace
 
-void Database::ExecuteBatchReadiness(
-    std::vector<Result<Statement>>* parsed,
-    const std::vector<std::string>& statements,
-    const std::vector<StatementEffects>& effects, int budget,
-    std::vector<Result<Relation>>* results) {
+std::vector<Result<Relation>> Database::ExecuteBatch(
+    const std::vector<std::string>& statements) {
   const size_t n = statements.size();
-  // `dependents` is built before any task launches and read-only afterwards;
-  // the mutable completion counters live in ReadinessState under its mutex.
-  // Unparseable statements have empty effects (no edges) and never launch;
-  // their result slots already hold the parse error.
+  std::vector<Result<Relation>> results(
+      n, Result<Relation>(Status::Invalid("statement not executed")));
+  // Parse everything up front: the dependency analysis needs every
+  // statement's effects before execution starts.
+  std::vector<Result<Statement>> parsed;
+  parsed.reserve(n);
+  for (const std::string& sql : statements) parsed.push_back(Parse(sql));
+
+  // Per-statement effect analysis → dependency DAG. A statement only waits
+  // on earlier statements whose write set intersects its read/write sets
+  // (RAW/WAW/WAR over table names), so a CTAS fences only statements
+  // touching its table, disjoint DDL+SELECT chains overlap, and read-only
+  // statements (SELECT, EXPLAIN) never fence each other. Conflicting
+  // statements execute in index order, so every statement still observes
+  // exactly the catalog state its position in the script implies.
+  // Unparseable statements have no effects (no edges) and never launch;
+  // their result slots hold the parse error. `dependents` is built before
+  // any task launches and read-only afterwards; the mutable completion
+  // counters live in ReadinessState under its mutex.
+  std::vector<StatementEffects> effects(n);
   ReadinessState state(n);
   std::vector<std::vector<size_t>> dependents(n);
   size_t runnable = 0;
   {
     MutexLock lock(state.mu);
     for (size_t j = 0; j < n; ++j) {
-      if (!(*parsed)[j].ok()) continue;
+      if (!parsed[j].ok()) {
+        results[j] = parsed[j].status();
+        continue;
+      }
+      effects[j] = AnalyzeEffects(*parsed[j]);
       ++runnable;
       for (size_t i = 0; i < j; ++i) {
-        if (!(*parsed)[i].ok()) continue;
         if (EffectsConflict(effects[i], effects[j])) {
           ++state.dep_count[j];
           dependents[i].push_back(j);
         }
       }
-    }
-    for (size_t j = 0; j < n; ++j) {
-      if ((*parsed)[j].ok() && state.dep_count[j] == 0) {
-        state.ready.push_back(j);
-      }
+      if (state.dep_count[j] == 0) state.ready.push_back(j);
     }
   }
-  if (runnable == 0) return;
+  if (runnable == 0) return results;
+
+  // At most `budget` statements are in flight; a budget of 1 runs the batch
+  // one statement at a time in dependency order.
+  const int budget = rma_options.max_threads > 0 ? rma_options.max_threads
+                                                 : DefaultThreadCount();
 
   // One context for the whole batch: concurrent SELECTs share it (it is
   // internally synchronized and borrows the shared QueryCache), keeping the
@@ -334,9 +350,9 @@ void Database::ExecuteBatchReadiness(
   // while it is nonzero, which is what keeps the state alive for the push
   // below even when the task beats it.
   std::function<void(size_t)> submit = [&](size_t k) {
-    Statement* stmt = &*(*parsed)[k];
+    Statement* stmt = &*parsed[k];
     const std::string* sql = &statements[k];
-    Result<Relation>* slot = &(*results)[k];
+    Result<Relation>* slot = &results[k];
     int share = 1;
     {
       MutexLock lock(state.mu);
@@ -348,8 +364,8 @@ void Database::ExecuteBatchReadiness(
     ThreadPool::TaskPtr task =
         ThreadPool::Shared().Submit([&, k, stmt, sql, slot, share] {
           {
-            // The statement's kernels and subtree forks inherit the
-            // admission-time share via the ambient ScopedThreadBudget.
+            // The statement's kernels inherit the admission-time share via
+            // the ambient ScopedThreadBudget.
             ScopedThreadBudget budget_share(share);
             try {
               ExecuteBatchStatement(std::move(*stmt), *sql, &ctx, slot);
@@ -411,110 +427,9 @@ void Database::ExecuteBatchReadiness(
     }
     ThreadPool::Shared().Wait(task);
   }
-  // Every statement completed; surface the first failure in script order
-  // (matches the waves path, which rethrows the first task error).
+  // Every statement completed; surface the first failure in script order.
   for (size_t i = 0; i < n; ++i) {
     if (errors[i] != nullptr) std::rethrow_exception(errors[i]);
-  }
-}
-
-std::vector<Result<Relation>> Database::ExecuteBatch(
-    const std::vector<std::string>& statements) {
-  const size_t n = statements.size();
-  std::vector<Result<Relation>> results(
-      n, Result<Relation>(Status::Invalid("statement not executed")));
-  // Parse everything up front: the dependency analysis needs every
-  // statement's effects before execution starts.
-  std::vector<Result<Statement>> parsed;
-  parsed.reserve(n);
-  for (const std::string& sql : statements) parsed.push_back(Parse(sql));
-
-  // Per-statement effect analysis → dependency DAG. A statement only waits
-  // on earlier statements whose write set intersects its read/write sets
-  // (RAW/WAW/WAR over table names), so a CTAS fences only statements
-  // touching its table, disjoint DDL+SELECT chains overlap, and read-only
-  // statements (SELECT, EXPLAIN) never fence each other. Conflicting
-  // statements execute in index order, so every statement still observes
-  // exactly the catalog state its position in the script implies.
-  std::vector<StatementEffects> effects(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (parsed[i].ok()) {
-      effects[i] = AnalyzeEffects(*parsed[i]);
-    } else {
-      results[i] = parsed[i].status();
-      // Unparseable: no effects — it conflicts with nothing and never runs.
-    }
-  }
-
-  const int budget = rma_options.max_threads > 0 ? rma_options.max_threads
-                                                 : DefaultThreadCount();
-  if (rma_options.batch_schedule == BatchSchedule::kReadiness &&
-      budget >= 2 && n > 1) {
-    ExecuteBatchReadiness(&parsed, statements, effects, budget, &results);
-    return results;
-  }
-  const std::vector<int> waves = ScheduleWaves(effects);
-  int last_wave = -1;
-  for (size_t i = 0; i < n; ++i) {
-    if (parsed[i].ok()) last_wave = std::max(last_wave, waves[i]);
-  }
-
-  std::vector<size_t> wave_members;
-  for (int wave = 0; wave <= last_wave; ++wave) {
-    wave_members.clear();
-    for (size_t i = 0; i < n; ++i) {
-      if (parsed[i].ok() && waves[i] == wave) wave_members.push_back(i);
-    }
-    // One context per wave: concurrent SELECTs share it (it is internally
-    // synchronized and borrows the shared QueryCache), keeping the
-    // plan/prepared caches warm across the whole batch.
-    ExecContext ctx(rma_options, query_cache_);
-    if (wave_members.size() == 1 || budget < 2) {
-      for (size_t k : wave_members) {
-        ExecuteBatchStatement(std::move(*parsed[k]), statements[k], &ctx,
-                              &results[k]);
-      }
-      continue;
-    }
-    // Dispatch the wave in flights of at most `budget` statements so no
-    // more than `budget` are ever in flight (the pool is sized to the
-    // hardware, not the user's cap), and split the statement-level thread
-    // budget across each flight; each statement's kernels (and its own
-    // subtree forks) inherit the share via the ambient ScopedThreadBudget.
-    for (size_t base = 0; base < wave_members.size();
-         base += static_cast<size_t>(budget)) {
-      const size_t flight_end = std::min(
-          wave_members.size(), base + static_cast<size_t>(budget));
-      const int share =
-          std::max(1, budget / static_cast<int>(flight_end - base));
-      std::vector<ThreadPool::TaskPtr> tasks;
-      tasks.reserve(flight_end - base);
-      for (size_t m = base; m < flight_end; ++m) {
-        const size_t k = wave_members[m];
-        Statement* stmt = &*parsed[k];
-        const std::string* sql = &statements[k];
-        Result<Relation>* slot = &results[k];
-        tasks.push_back(ThreadPool::Shared().Submit(
-            [this, &ctx, stmt, sql, slot, share] {
-              ScopedThreadBudget budget_share(share);
-              ExecuteBatchStatement(std::move(*stmt), *sql, &ctx, slot);
-            }));
-      }
-      // Join every task before letting any exception escape: a rethrow
-      // with tasks still in flight would unwind ctx/results/parsed while
-      // running tasks reference them.
-      std::exception_ptr first_error;
-      for (const auto& task : tasks) {
-        try {
-          ThreadPool::Shared().Wait(task);
-        } catch (...) {
-          if (first_error == nullptr) {
-            first_error = std::current_exception();
-          }
-        }
-      }
-      if (first_error != nullptr) std::rethrow_exception(first_error);
-    }
   }
   return results;
 }

@@ -19,8 +19,6 @@
 
 namespace rma::sql {
 
-struct StatementEffects;
-
 /// A named-relation catalog plus the SQL entry point.
 ///
 /// Example (the paper's introduction):
@@ -122,15 +120,14 @@ class Database {
   /// statements whose write set intersects its read or write sets. A CTAS
   /// fences only statements touching its table; disjoint DDL+SELECT chains
   /// overlap; read-only statements (SELECT and EXPLAIN, plain or ANALYZE
-  /// of a select) never fence each other. Under the default readiness
-  /// schedule (RmaOptions::batch_schedule) each statement launches on the
+  /// of a select) never fence each other. Each statement launches on the
   /// shared worker pool the moment its own dependencies complete — a slow
   /// statement delays only its transitive dependents, never unrelated
-  /// chains; BatchSchedule::kWaves restores the level-synchronized wave
-  /// execution. Either way the batch shares one ExecContext borrowing the
-  /// query cache, and the thread budget (rma_options.max_threads, 0 =
-  /// hardware concurrency) is split across the in-flight statements so
-  /// total worker fan-out stays bounded. Identical in-flight statements
+  /// chains. At most rma_options.max_threads statements (0 = hardware
+  /// concurrency) are in flight, so a budget of 1 runs the batch one
+  /// statement at a time; the in-flight statements split that thread
+  /// budget, so total worker fan-out stays bounded. The batch shares one
+  /// ExecContext borrowing the query cache. Identical in-flight statements
   /// are deduplicated at the plan cache (QueryCache::AcquirePlan): one
   /// leader plans, the rest wait and borrow its plan instead of racing to
   /// fill the same entry.
@@ -172,16 +169,6 @@ class Database {
   Result<Relation> ExecuteParsed(Statement&& stmt, const std::string& sql);
   void ExecuteBatchStatement(Statement&& stmt, const std::string& sql,
                              ExecContext* ctx, Result<Relation>* slot);
-
-  /// Per-statement readiness scheduling for ExecuteBatch: completion
-  /// counters on the conflict edges, admission capped at `budget` in-flight
-  /// statements. Parsed-ok entries of `parsed` are consumed (moved into
-  /// execution); `results` slots are filled in place.
-  void ExecuteBatchReadiness(std::vector<Result<Statement>>* parsed,
-                             const std::vector<std::string>& statements,
-                             const std::vector<StatementEffects>& effects,
-                             int budget,
-                             std::vector<Result<Relation>>* results);
 
   /// Guards tables_; the catalog version is additionally atomic so
   /// statement execution can read it without the lock.

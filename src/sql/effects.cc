@@ -94,22 +94,9 @@ StatementEffects AnalyzeEffects(const Statement& stmt) {
 
 bool EffectsConflict(const StatementEffects& earlier,
                      const StatementEffects& later) {
-  if (earlier.barrier || later.barrier) return true;
   return Intersects(earlier.writes, later.reads) ||   // read-after-write
          Intersects(earlier.writes, later.writes) ||  // write-after-write
          Intersects(earlier.reads, later.writes);     // write-after-read
-}
-
-std::vector<int> ScheduleWaves(const std::vector<StatementEffects>& effects) {
-  std::vector<int> wave(effects.size(), 0);
-  for (size_t i = 0; i < effects.size(); ++i) {
-    for (size_t j = 0; j < i; ++j) {
-      if (EffectsConflict(effects[j], effects[i])) {
-        wave[i] = std::max(wave[i], wave[j] + 1);
-      }
-    }
-  }
-  return wave;
 }
 
 }  // namespace rma::sql

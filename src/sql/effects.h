@@ -25,13 +25,10 @@ namespace rma::sql {
 /// de-duplicated. Reads reach through joins, subqueries, and relational
 /// matrix operation arguments to the base tables at the leaves; every table
 /// reference in this grammar is a named base table, so attribution is
-/// complete — `barrier` stays available as the conservative escape hatch
-/// for a future statement kind whose footprint cannot be named.
+/// complete.
 struct StatementEffects {
   std::vector<std::string> reads;   ///< base tables the statement scans
   std::vector<std::string> writes;  ///< tables created/dropped/replaced
-  /// Unattributable footprint: conflicts with every other statement.
-  bool barrier = false;
 };
 
 /// Lower-cased, sorted, unique base-table names a SELECT reads (through
@@ -50,16 +47,9 @@ StatementEffects AnalyzeEffects(const Statement& stmt);
 /// Whether `later` must wait for `earlier` (statement order matters: the
 /// relation is not symmetric in meaning, though the predicate is). True on
 /// any write/read, write/write, or read/write overlap — the classic RAW /
-/// WAW / WAR hazards over table names — or when either side is a barrier.
+/// WAW / WAR hazards over table names.
 bool EffectsConflict(const StatementEffects& earlier,
                      const StatementEffects& later);
-
-/// Dependency-DAG wave assignment: wave[i] is the longest conflict chain
-/// ending at statement i (0 when i conflicts with no earlier statement).
-/// Statements sharing a wave are pairwise independent and may execute
-/// concurrently; waves execute in index order. Deterministic — tests assert
-/// exact wave numbers to pin scheduling behavior.
-std::vector<int> ScheduleWaves(const std::vector<StatementEffects>& effects);
 
 }  // namespace rma::sql
 

@@ -13,7 +13,6 @@
 #include "core/planner.h"
 #include "core/query_cache.h"
 #include "core/rma.h"
-#include "core/scheduler.h"
 #include "matrix/simd.h"
 #include "rel/operators.h"
 #include "sql/database.h"
@@ -300,11 +299,8 @@ Result<Bound> EvaluateTableRef(const Database& db, const TableRefPtr& ref,
       if (pcs != nullptr && pcs->hit != nullptr &&
           pcs->cursor < pcs->hit->ops.size()) {
         const QueryCache::CachedOp& cop = pcs->hit->ops[pcs->cursor++];
-        // The cached lowered plan drives the stage scheduler's
-        // shape-dependent fork decisions.
-        RMA_ASSIGN_OR_RETURN(
-            Relation rel,
-            EvaluateExpressionConcurrent(cop.rewritten, ctx, cop.plan));
+        RMA_ASSIGN_OR_RETURN(Relation rel,
+                             EvaluateExpression(cop.rewritten, ctx));
         return BindRelation(std::move(rel), ref->alias);
       }
       // Build the whole nested-operation tree as an algebra expression so
@@ -317,7 +313,6 @@ Result<Bound> EvaluateTableRef(const Database& db, const TableRefPtr& ref,
       RewriteReport report;
       const RmaExprPtr rewritten =
           RewriteExpression(expr, ctx->options().rewrites, &report);
-      PlanNodePtr lowered;
       if (pcs != nullptr && pcs->record != nullptr) {
         QueryCache::CachedOp cop;
         cop.rewritten = rewritten;
@@ -328,12 +323,10 @@ Result<Bound> EvaluateTableRef(const Database& db, const TableRefPtr& ref,
         if (auto plan = PlanExpression(rewritten, ctx->options(), nullptr);
             plan.ok()) {
           cop.plan = *plan;
-          lowered = cop.plan;
         }
         pcs->record->push_back(std::move(cop));
       }
-      RMA_ASSIGN_OR_RETURN(
-          Relation rel, EvaluateExpressionConcurrent(rewritten, ctx, lowered));
+      RMA_ASSIGN_OR_RETURN(Relation rel, EvaluateExpression(rewritten, ctx));
       return BindRelation(std::move(rel), ref->alias);
     }
     case TableRef::Kind::kJoin:

@@ -80,23 +80,17 @@ TEST(AlgebraRewrite, AliasedInnerTransposeIsNotSubstituted) {
   EXPECT_EQ(report.fired(), 0);
 }
 
-TEST(AlgebraRewrite, RulesCanBeDisabledIndividually) {
+TEST(AlgebraRewrite, RulesCanBeDisabled) {
   auto x = RmaExpr::Leaf(RatingsRelation());
   auto expr = RmaExpr::Binary(
       MatrixOp::kMmu, RmaExpr::Unary(MatrixOp::kTra, x, {"User"}), {"C"}, x,
       {"User"});
   RewriteRules rules;
-  rules.mmu_tra_to_cpd = false;
+  rules.enabled = false;
   RewriteReport report;
   RmaExprPtr rewritten = RewriteExpression(expr, rules, &report);
   EXPECT_EQ(report.fired(), 0);
   EXPECT_EQ(rewritten->op, MatrixOp::kMmu);
-
-  rules = RewriteRules{};
-  rules.enabled = false;
-  report = {};
-  rewritten = RewriteExpression(expr, rules, &report);
-  EXPECT_EQ(report.fired(), 0);
 }
 
 TEST(AlgebraRewrite, MmuOfTraOnRightBecomesOpd) {

@@ -324,7 +324,6 @@ TEST(PiecewiseCostTest, ProbeWithBreakpointsYieldsMonotonicRegimeRates) {
   opts.small_elements = 1 << 10;
   opts.large_elements = 1 << 13;
   opts.repetitions = 1;
-  opts.cache_breakpoints = true;
   opts.max_probe_elements = 1 << 16;  // keep the deep-regime probes fast
   const CostProfile probed = ProbeCostProfile(opts);
   const CacheSizes caches = DetectCacheSizes();
@@ -342,10 +341,6 @@ TEST(PiecewiseCostTest, ProbeWithBreakpointsYieldsMonotonicRegimeRates) {
           << CostKernelName(static_cast<CostKernel>(i)) << " regime " << r;
     }
   }
-  // Disabling breakpoints restores the legacy single-rate shape.
-  opts.cache_breakpoints = false;
-  const CostProfile flat = ProbeCostProfile(opts);
-  EXPECT_EQ(flat.MaxRegimes(), 1);
 }
 
 TEST(PiecewiseCostTest, RegimeRateShiftChangesTheFingerprint) {

@@ -1,0 +1,117 @@
+// Tests for ExecContext: the evict-on-error audit of the borrowed
+// prepared-argument cache, and thread-safe stats aggregation when
+// concurrent operations share one context.
+#include "core/exec_context.h"
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "core/query_cache.h"
+#include "core/rma.h"
+#include "test_util.h"
+#include "util/random.h"
+
+namespace rma {
+namespace {
+
+using testing::RandomKeyedRelation;
+
+Relation MakeRightRelation(int64_t n, int cols, Rng* rng) {
+  Relation s = RandomKeyedRelation(n, cols, rng, -10.0, 10.0, "s");
+  return s.RenameColumn(0, "id2").ValueOrDie();
+}
+
+// --- evict-on-error ----------------------------------------------------------
+
+TEST(EvictOnErrorTest, FailedUnaryOpLeavesNoPreparedEntry) {
+  Rng rng(48);
+  // 2 rows x 4 app cols: the sort succeeds (and would be stored), then the
+  // qr row-count check fails. The op must take its cache stores back out.
+  const Relation r = RandomKeyedRelation(2, 4, &rng);
+  ExecContext ctx{RmaOptions{}};
+  EXPECT_FALSE(RmaUnary(&ctx, MatrixOp::kQqr, r, {"id"}).ok());
+  EXPECT_EQ(ctx.cache()->prepared_entries(), 0u);
+  EXPECT_EQ(ctx.plans().size(), 0u);
+  EXPECT_EQ(ctx.op_stats().size(), 0u);
+}
+
+TEST(EvictOnErrorTest, FailedBinaryOpLeavesNoPreparedEntries) {
+  Rng rng(49);
+  const Relation r = RandomKeyedRelation(40, 3, &rng);
+  const Relation s = MakeRightRelation(30, 3, &rng);  // row-count mismatch
+  ExecContext ctx{RmaOptions{}};
+  // Both arguments prepare (two sorts stored), then the add shape check
+  // fails.
+  EXPECT_FALSE(RmaBinary(&ctx, MatrixOp::kAdd, r, {"id"}, s, {"id2"}).ok());
+  EXPECT_EQ(ctx.cache()->prepared_entries(), 0u);
+}
+
+TEST(EvictOnErrorTest, SuccessfulOpKeepsPreparedEntry) {
+  Rng rng(50);
+  const Relation r = RandomKeyedRelation(40, 3, &rng);
+  ExecContext ctx{RmaOptions{}};
+  ASSERT_OK(RmaUnary(&ctx, MatrixOp::kQqr, r, {"id"}).status());
+  EXPECT_EQ(ctx.cache()->prepared_entries(), 1u);
+  ASSERT_EQ(ctx.plans().size(), 1u);
+  ASSERT_EQ(ctx.op_stats().size(), 1u);
+}
+
+TEST(EvictOnErrorTest, FailureDoesNotEvictOtherStatementsEntries) {
+  Rng rng(51);
+  const Relation good = RandomKeyedRelation(40, 3, &rng);
+  const Relation bad = RandomKeyedRelation(2, 4, &rng);
+  ExecContext ctx{RmaOptions{}};
+  ASSERT_OK(RmaUnary(&ctx, MatrixOp::kQqr, good, {"id"}).status());
+  EXPECT_FALSE(RmaUnary(&ctx, MatrixOp::kQqr, bad, {"id"}).ok());
+  // Only the failed op's stores were evicted; the earlier committed entry
+  // survives.
+  EXPECT_EQ(ctx.cache()->prepared_entries(), 1u);
+}
+
+// --- thread-safe stats aggregation -------------------------------------------
+
+TEST(ExecContextConcurrencyTest, ConcurrentOpsOnOneContextStayConsistent) {
+  Rng rng(52);
+  const int kThreads = 8;
+  const int kOpsPerThread = 16;
+  std::vector<Relation> rels;
+  for (int t = 0; t < kThreads; ++t) {
+    rels.push_back(RandomKeyedRelation(64, 3, &rng, -10.0, 10.0,
+                                       "r" + std::to_string(t)));
+  }
+  ExecContext ctx{RmaOptions{}};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int k = 0; k < kOpsPerThread; ++k) {
+        if (!RmaUnary(&ctx, MatrixOp::kQqr, rels[static_cast<size_t>(t)],
+                      {"id"})
+                 .ok()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  const size_t total = static_cast<size_t>(kThreads) * kOpsPerThread;
+  // Concurrent EndOp must neither lose nor duplicate entries, and the
+  // plans/op_stats alignment must hold.
+  EXPECT_EQ(ctx.plans().size(), total);
+  EXPECT_EQ(ctx.op_stats().size(), total);
+  // Every op performed exactly one prepare lookup.
+  EXPECT_EQ(ctx.cache_hits() + ctx.cache_misses(),
+            static_cast<int64_t>(total));
+  EXPECT_EQ(ctx.totals().prepared_cache_hits +
+                ctx.totals().prepared_cache_misses,
+            static_cast<int64_t>(total));
+}
+
+}  // namespace
+}  // namespace rma

@@ -92,7 +92,7 @@ TEST(OptionsFingerprintTest, PlanAffectingFieldsChangeTheFingerprint) {
   EXPECT_NE(QueryCache::OptionsFingerprint(a),
             QueryCache::OptionsFingerprint(b));
   b = a;
-  b.rewrites.mmu_tra_to_cpd = false;
+  b.rewrites.enabled = false;
   EXPECT_NE(QueryCache::OptionsFingerprint(a),
             QueryCache::OptionsFingerprint(b));
   // The stats sink is an output channel, not plan content.

@@ -143,12 +143,22 @@ TEST(SimdParity, ReductionsMatchScalarWithinTolerance) {
     EXPECT_NEAR(simd::SumSquares(a.data(), n), sq_scalar, tol)
         << "SumSquares n=" << n;
 
+    // Dot4 equals Dot per column bit for bit within each mode (callers such
+    // as QR split columns between the two at thread-count-dependent edges).
+    const double* c[4] = {b.data(), a.data(), b.data(), a.data()};
     double d4_simd[4], d4_scalar[4];
-    simd::Dot4(a.data(), b.data(), a.data(), b.data(), a.data(), n, d4_simd);
+    simd::Dot4(a.data(), c[0], c[1], c[2], c[3], n, d4_simd);
+    for (int q = 0; q < 4; ++q) {
+      EXPECT_EQ(d4_simd[q], simd::Dot(a.data(), c[q], n))
+          << "Dot4 q=" << q << " n=" << n;
+    }
     {
       ScopedScalar scalar;
-      simd::Dot4(a.data(), b.data(), a.data(), b.data(), a.data(), n,
-                 d4_scalar);
+      simd::Dot4(a.data(), c[0], c[1], c[2], c[3], n, d4_scalar);
+      for (int q = 0; q < 4; ++q) {
+        EXPECT_EQ(d4_scalar[q], simd::Dot(a.data(), c[q], n))
+            << "scalar Dot4 q=" << q << " n=" << n;
+      }
     }
     for (int q = 0; q < 4; ++q) {
       EXPECT_NEAR(d4_simd[q], d4_scalar[q], tol) << "Dot4 q=" << q

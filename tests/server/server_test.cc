@@ -233,6 +233,20 @@ TEST_F(ServerTest, SessionOptionsAreIsolated) {
   EXPECT_EQ(still_ok.rows, 4u);
 }
 
+TEST_F(ServerTest, RemovedSessionKeyIsRejectedByName) {
+  StartServer();
+  Client c = Connect();
+  // A key the session key set no longer holds is an option-level error
+  // naming the key; the session lives on.
+  const std::string key = "concurrent_subtrees";
+  const Status refused = c.SetOption(key, "true");
+  EXPECT_TRUE(refused.IsInvalid()) << refused.ToString();
+  EXPECT_NE(refused.ToString().find(key), std::string::npos)
+      << refused.ToString();
+  ASSERT_OK_AND_ASSIGN(ExecResult ok, c.Execute("SELECT * FROM weather;"));
+  EXPECT_EQ(ok.rows, 4u);
+}
+
 TEST_F(ServerTest, ConcurrentClientsInterleaveDdlAndSelect) {
   StartServer();
   constexpr int kClients = 8;

@@ -121,67 +121,85 @@ TEST(StatementEffectsTest, ExtractsReadAndWriteSets) {
   EXPECT_EQ(analyze.writes, (std::vector<std::string>{"t2"}));
 }
 
-TEST(ScheduleWavesTest, CtasFencesOnlyStatementsTouchingItsTable) {
-  // The acceptance shape: the t1-SELECT shares wave 0 with the CTAS (they
-  // touch disjoint tables), while the t2-SELECT waits for its producer.
-  const std::vector<int> waves = ScheduleWaves(EffectsOf({
+TEST(EffectsConflictTest, CtasFencesOnlyStatementsTouchingItsTable) {
+  // The t1-SELECT is independent of the CTAS (they touch disjoint tables),
+  // while the t2-SELECT waits for its producer.
+  const std::vector<StatementEffects> e = EffectsOf({
       "CREATE TABLE t2 AS SELECT * FROM QQR(t0 BY id)",
       "SELECT * FROM t1",
       "SELECT * FROM t2",
-  }));
-  EXPECT_EQ(waves, (std::vector<int>{0, 0, 1}));
+  });
+  EXPECT_FALSE(EffectsConflict(e[0], e[1]));
+  EXPECT_TRUE(EffectsConflict(e[0], e[2]));  // read-after-write on t2
+  EXPECT_FALSE(EffectsConflict(e[1], e[2]));
 }
 
-TEST(ScheduleWavesTest, ExplainIsNotABarrier) {
+TEST(EffectsConflictTest, ExplainIsNotABarrier) {
   // Regression: EXPLAIN used to serialize the whole batch. Read-only
-  // statements never fence each other, so the entire run is one wave.
-  const std::vector<int> waves = ScheduleWaves(EffectsOf({
+  // statements never fence each other.
+  const std::vector<StatementEffects> e = EffectsOf({
       "SELECT * FROM t1",
       "EXPLAIN SELECT * FROM t1",
       "EXPLAIN ANALYZE SELECT * FROM t1",
       "SELECT * FROM t1",
-  }));
-  EXPECT_EQ(waves, (std::vector<int>{0, 0, 0, 0}));
+  });
+  for (size_t j = 0; j < e.size(); ++j) {
+    for (size_t i = 0; i < j; ++i) {
+      EXPECT_FALSE(EffectsConflict(e[i], e[j])) << i << " -> " << j;
+    }
+  }
 }
 
-TEST(ScheduleWavesTest, DropRecreateSelectChainsSequentially) {
+TEST(EffectsConflictTest, DropRecreateSelectChainsSequentially) {
   // WAW (drop after create), then WAR/RAW ordering around the re-create:
-  // every step on one table forms a chain, while an unrelated SELECT rides
-  // wave 0.
-  const std::vector<int> waves = ScheduleWaves(EffectsOf({
+  // every step on one table conflicts with every other, while an unrelated
+  // SELECT conflicts with none of them.
+  const std::vector<StatementEffects> e = EffectsOf({
       "CREATE TABLE t AS SELECT * FROM src",
       "DROP TABLE t",
       "CREATE TABLE t AS SELECT * FROM other_src",
       "SELECT * FROM t",
       "SELECT * FROM unrelated",
-  }));
-  EXPECT_EQ(waves, (std::vector<int>{0, 1, 2, 3, 0}));
+  });
+  for (size_t j = 1; j < 4; ++j) {
+    for (size_t i = 0; i < j; ++i) {
+      EXPECT_TRUE(EffectsConflict(e[i], e[j])) << i << " -> " << j;
+    }
+  }
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_FALSE(EffectsConflict(e[i], e[4])) << i << " -> 4";
+  }
 }
 
-TEST(ScheduleWavesTest, DisjointChainsOverlap) {
-  // Two CTAS+SELECT chains over disjoint tables: the second chain does not
-  // wait for the first — both producers share wave 0, both consumers wave 1.
-  const std::vector<int> waves = ScheduleWaves(EffectsOf({
+TEST(EffectsConflictTest, DisjointChainsOverlap) {
+  // Two CTAS+SELECT chains over disjoint tables: each consumer waits for its
+  // own producer, and no statement of one chain waits for the other chain.
+  const std::vector<StatementEffects> e = EffectsOf({
       "CREATE TABLE ca AS SELECT * FROM QQR(a BY id)",
       "SELECT * FROM ca",
       "CREATE TABLE cb AS SELECT * FROM QQR(b BY id)",
       "SELECT * FROM cb",
-  }));
-  EXPECT_EQ(waves, (std::vector<int>{0, 1, 0, 1}));
+  });
+  EXPECT_TRUE(EffectsConflict(e[0], e[1]));
+  EXPECT_TRUE(EffectsConflict(e[2], e[3]));
+  for (size_t i : {0, 1}) {
+    for (size_t j : {2, 3}) {
+      EXPECT_FALSE(EffectsConflict(e[i], e[j])) << i << " -> " << j;
+    }
+  }
 }
 
-TEST(ScheduleWavesTest, WriteAfterReadWaits) {
+TEST(EffectsConflictTest, WriteAfterReadWaits) {
   // A DROP must wait for earlier readers of its table (they are entitled to
-  // the pre-drop catalog), and a barrier-flagged statement fences both ways.
-  std::vector<StatementEffects> effects = EffectsOf({
+  // the pre-drop catalog); dropping another table does not.
+  const std::vector<StatementEffects> e = EffectsOf({
       "SELECT * FROM t",
       "DROP TABLE t",
+      "DROP TABLE u",
   });
-  EXPECT_EQ(ScheduleWaves(effects), (std::vector<int>{0, 1}));
-  StatementEffects barrier;
-  barrier.barrier = true;
-  effects.insert(effects.begin() + 1, barrier);
-  EXPECT_EQ(ScheduleWaves(effects), (std::vector<int>{0, 1, 2}));
+  EXPECT_TRUE(EffectsConflict(e[0], e[1]));
+  EXPECT_FALSE(EffectsConflict(e[0], e[2]));
+  EXPECT_FALSE(EffectsConflict(e[1], e[2]));
 }
 
 // --- ExecuteBatch ------------------------------------------------------------
@@ -272,7 +290,7 @@ TEST(ExecuteBatchTest, DdlOrderingIsPreserved) {
 
 TEST(ExecuteBatchTest, ExplainDoesNotFenceASelectRun) {
   // Regression for the EXPLAIN barrier: a run of SELECTs with EXPLAINs
-  // interleaved executes as one wave, so the identical SELECTs still
+  // interleaved has no dependency edges, so the identical SELECTs still
   // deduplicate at the plan cache — under the old barrier semantics each
   // EXPLAIN split the run and the dedupe never engaged across it.
   Database db = MakeDb();
@@ -334,9 +352,9 @@ TEST(ExecuteBatchTest, MutatingOneTableKeepsPlansReadingOthers) {
 
 TEST(ExecuteBatchTest, DisjointDdlSelectChainsRunConcurrently) {
   // Two CTAS+SELECT chains over disjoint tables plus independent SELECTs:
-  // the waves overlap the chains (asserted deterministically in
-  // ScheduleWavesTest; here the full execution path runs under TSan in CI)
-  // and every result matches its script position.
+  // the chains overlap (their independence is asserted deterministically in
+  // EffectsConflictTest; here the full execution path runs under TSan in
+  // CI) and every result matches its script position.
   Database db = MakeDb(/*max_threads=*/4);
   const std::vector<std::string> statements = {
       "CREATE TABLE ca AS SELECT * FROM QQR(r BY id)",
@@ -361,7 +379,7 @@ TEST(ExecuteBatchTest, DisjointDdlSelectChainsRunConcurrently) {
   EXPECT_FALSE(db.Has("cb"));
 }
 
-// --- readiness vs. waves ------------------------------------------------------
+// --- readiness scheduling -----------------------------------------------------
 
 /// The mixed-script shape from bench_batch: disjoint CTAS → SELECT chains
 /// with independent analytic SELECTs between them. Exercises every edge
@@ -379,28 +397,24 @@ std::vector<std::string> MixedChainScript() {
   };
 }
 
-TEST(BatchScheduleTest, ReadinessAndWavesProduceIdenticalResults) {
-  // Same script, both schedulers, slot-by-slot agreement on ok-ness and
-  // shape. Readiness is the default; waves stays selectable per database.
+TEST(BatchScheduleTest, ReadinessMatchesOneAtATimeExecute) {
+  // Same script, batched versus one statement at a time through Execute:
+  // slot-by-slot agreement on ok-ness and shape.
   const std::vector<std::string> statements = MixedChainScript();
   Database readiness_db = MakeDb(/*max_threads=*/4);
-  ASSERT_EQ(readiness_db.rma_options.batch_schedule,
-            BatchSchedule::kReadiness);
-  Database waves_db = MakeDb(/*max_threads=*/4);
-  waves_db.rma_options.batch_schedule = BatchSchedule::kWaves;
+  Database serial_db = MakeDb(/*max_threads=*/4);
 
   for (int round = 0; round < 3; ++round) {
     std::vector<Result<Relation>> ready = readiness_db.ExecuteBatch(statements);
-    std::vector<Result<Relation>> waves = waves_db.ExecuteBatch(statements);
     ASSERT_EQ(ready.size(), statements.size());
-    ASSERT_EQ(waves.size(), statements.size());
     for (size_t i = 0; i < statements.size(); ++i) {
+      Result<Relation> serial = serial_db.Execute(statements[i]);
       ASSERT_TRUE(ready[i].ok())
           << statements[i] << ": " << ready[i].status().ToString();
-      ASSERT_TRUE(waves[i].ok())
-          << statements[i] << ": " << waves[i].status().ToString();
-      EXPECT_EQ(ready[i]->num_rows(), waves[i]->num_rows()) << statements[i];
-      EXPECT_EQ(ready[i]->num_columns(), waves[i]->num_columns())
+      ASSERT_TRUE(serial.ok())
+          << statements[i] << ": " << serial.status().ToString();
+      EXPECT_EQ(ready[i]->num_rows(), serial->num_rows()) << statements[i];
+      EXPECT_EQ(ready[i]->num_columns(), serial->num_columns())
           << statements[i];
     }
     EXPECT_EQ(ValueToDouble(ready[2]->Get(0, 0)), 500.0);
@@ -411,11 +425,10 @@ TEST(BatchScheduleTest, ReadinessAndWavesProduceIdenticalResults) {
 }
 
 TEST(BatchScheduleTest, ReadinessHonorsDependentOrdering) {
-  // The DdlOrderingIsPreserved contract, pinned explicitly to the readiness
-  // scheduler: a consumer launches only when its own producers finished, a
-  // post-drop reader fails, and slots stay aligned with script positions.
+  // The DdlOrderingIsPreserved contract over a tight chain: a consumer
+  // launches only when its own producers finished, a post-drop reader
+  // fails, and slots stay aligned with script positions.
   Database db = MakeDb(/*max_threads=*/4);
-  db.rma_options.batch_schedule = BatchSchedule::kReadiness;
   const std::vector<std::string> statements = {
       "CREATE TABLE q AS SELECT * FROM QQR(r BY id)",
       "SELECT COUNT(*) AS n FROM q",
@@ -458,8 +471,8 @@ TEST(BatchScheduleTest, ReadinessPreservesParseErrorSlots) {
 }
 
 TEST(BatchScheduleTest, SingleThreadBudgetFallsBackSafely) {
-  // budget < 2 cannot overlap anything: the readiness default quietly takes
-  // the serial waves path and the script still honors its ordering.
+  // A budget of 1 admits one statement at a time: the batch runs serially
+  // in dependency order and the script still honors its ordering.
   Database db = MakeDb(/*max_threads=*/1);
   std::vector<Result<Relation>> results =
       db.ExecuteBatch(MixedChainScript());
