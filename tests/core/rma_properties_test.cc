@@ -11,6 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstring>
+#include <ostream>
 
 #include "core/constructors.h"
 #include "core/kernels.h"
@@ -24,6 +27,25 @@ namespace {
 
 using testing::RandomKeyedRelation;
 
+// gtest lists each case with a byte dump of its parameter. The PrintTo
+// overloads below dump the fields into zeroed storage, so padding garbage
+// never leaks into the test names.
+template <typename Case>
+class FieldBytes {
+ public:
+  template <typename Field>
+  FieldBytes& Put(size_t offset, const Field& field) {
+    std::memcpy(bytes_ + offset, &field, sizeof(field));
+    return *this;
+  }
+  void PrintTo(std::ostream* os) const {
+    ::testing::internal::PrintBytesInObjectTo(bytes_, sizeof(bytes_), os);
+  }
+
+ private:
+  unsigned char bytes_[sizeof(Case)] = {};
+};
+
 struct UnaryCase {
   MatrixOp op;
   int64_t rows;
@@ -31,6 +53,16 @@ struct UnaryCase {
   uint64_t seed;
   bool symmetric_input;  // evc/evl/chf need symmetric (SPD) inputs
 };
+
+void PrintTo(const UnaryCase& c, std::ostream* os) {
+  FieldBytes<UnaryCase>()
+      .Put(offsetof(UnaryCase, op), c.op)
+      .Put(offsetof(UnaryCase, rows), c.rows)
+      .Put(offsetof(UnaryCase, cols), c.cols)
+      .Put(offsetof(UnaryCase, seed), c.seed)
+      .Put(offsetof(UnaryCase, symmetric_input), c.symmetric_input)
+      .PrintTo(os);
+}
 
 std::string UnaryCaseName(const ::testing::TestParamInfo<UnaryCase>& info) {
   return std::string(GetOpInfo(info.param.op).name) + "_" +
@@ -243,6 +275,17 @@ struct BinaryCase {
   int cols_s;
   uint64_t seed;
 };
+
+void PrintTo(const BinaryCase& c, std::ostream* os) {
+  FieldBytes<BinaryCase>()
+      .Put(offsetof(BinaryCase, op), c.op)
+      .Put(offsetof(BinaryCase, rows_r), c.rows_r)
+      .Put(offsetof(BinaryCase, cols_r), c.cols_r)
+      .Put(offsetof(BinaryCase, rows_s), c.rows_s)
+      .Put(offsetof(BinaryCase, cols_s), c.cols_s)
+      .Put(offsetof(BinaryCase, seed), c.seed)
+      .PrintTo(os);
+}
 
 std::string BinaryCaseName(const ::testing::TestParamInfo<BinaryCase>& info) {
   return std::string(GetOpInfo(info.param.op).name) + "_s" +
