@@ -5,6 +5,7 @@
 #include <cstring>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/calibration.h"
@@ -111,9 +112,10 @@ void BenchJson::Flush() {
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"scale\": %g,\n"
-               "  \"simd\": \"%s\",\n  \"entries\": [\n",
+               "  \"simd\": \"%s\",\n  \"hardware_threads\": %u,\n"
+               "  \"entries\": [\n",
                JsonEscape(state.bench_name).c_str(), ScaleFactor(),
-               simd::Describe().c_str());
+               simd::Describe().c_str(), std::thread::hardware_concurrency());
   for (size_t i = 0; i < state.entries.size(); ++i) {
     const auto& e = state.entries[i];
     std::fprintf(f,

@@ -42,12 +42,14 @@ std::string Pct(double fraction);
 /// Record() call collects one entry and the process writes
 /// `BENCH_<bench>.json` to the working directory at Flush() / exit:
 ///
-///   {"bench": "bench_batch", "scale": 1.0, "simd": "avx2x4", "entries": [
+///   {"bench": "bench_batch", "scale": 1.0, "simd": "avx2x4",
+///    "hardware_threads": 4, "entries": [
 ///     {"name": "...", "op": "...", "shape": "RxC", "ns": 1.2e6,
 ///      "bytes": 0, "kernel": "auto", "regime": "l3"}, ...]}
 ///
 /// `simd` records the vector ISA the numbers were measured under (rma::simd,
-/// including the RMA_NO_SIMD override), so a baseline diff can flag
+/// including the RMA_NO_SIMD override) and `hardware_threads` the machine's
+/// std::thread::hardware_concurrency(), so a baseline diff can flag
 /// apples-to-oranges comparisons. `regime` classifies each entry's touched
 /// bytes against the machine's L2/L3 sizes ("l2"/"l3"/"dram"; "" when bytes
 /// is unknown), mirroring the calibration regimes.

@@ -26,8 +26,14 @@ measurement). Both are shown in the diff table, and a shard-count change
 between baseline and current is flagged inline — a plan that stopped (or
 started) sharding explains a timing shift better than the ratio alone.
 
+Both files may record the producing machine's "hardware_threads". Both
+sides' values are printed. When both files record it and the values differ
+the comparison is refused (exit 2): concurrency entries measured on a
+different thread count are not comparable. A file without the field only
+draws a warning.
+
 Exit status: 0 = no regressions, 1 = regressions found, 2 = usage/format
-error.
+error or hardware-thread mismatch.
 """
 
 import argparse
@@ -36,23 +42,44 @@ import statistics
 import sys
 
 
+def fail(message):
+    """Usage or format error (including a machine mismatch): exit 2."""
+    print(f"bench_compare: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
 def load_entries(path):
     try:
         with open(path) as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        sys.exit(f"bench_compare: cannot read {path}: {e}")
+        fail(f"cannot read {path}: {e}")
     if "entries" not in doc or not isinstance(doc["entries"], list):
-        sys.exit(f"bench_compare: {path}: no entries array")
+        fail(f"{path}: no entries array")
     entries = {}
     meta = {}
     for e in doc["entries"]:
         name, ns = e.get("name"), e.get("ns")
         if not isinstance(name, str) or not isinstance(ns, (int, float)):
-            sys.exit(f"bench_compare: {path}: malformed entry {e!r}")
+            fail(f"{path}: malformed entry {e!r}")
         entries[name] = float(ns)
         meta[name] = (e.get("regime", ""), int(e.get("shards", 0) or 0))
-    return doc.get("scale", 1.0), entries, meta
+    return doc.get("scale", 1.0), doc.get("hardware_threads"), entries, meta
+
+
+def check_hardware_threads(base_threads, cur_threads):
+    """Prints both sides' hardware_threads; exits 2 on a recorded mismatch."""
+    sides = (("baseline", base_threads), ("current", cur_threads))
+    print("hardware threads: " + ", ".join(
+        f"{side} {'unrecorded' if v is None else v}" for side, v in sides))
+    missing = [side for side, v in sides if v is None]
+    if missing:
+        print(f"  [warning] {' and '.join(missing)} lacks hardware_threads; "
+              f"cannot check that the machines match")
+    elif base_threads != cur_threads:
+        fail(f"hardware_threads mismatch: baseline {base_threads}, current "
+             f"{cur_threads} — regenerate the baseline on a machine with the "
+             f"same thread count")
 
 
 def main():
@@ -70,12 +97,12 @@ def main():
                          "normalization")
     args = ap.parse_args()
 
-    base_scale, base, base_meta = load_entries(args.baseline)
-    cur_scale, cur, cur_meta = load_entries(args.current)
+    base_scale, base_threads, base, base_meta = load_entries(args.baseline)
+    cur_scale, cur_threads, cur, cur_meta = load_entries(args.current)
     if base_scale != cur_scale:
-        sys.exit(f"bench_compare: scale mismatch: baseline ran at "
-                 f"{base_scale}, current at {cur_scale} — regenerate the "
-                 f"baseline at the comparison scale")
+        fail(f"scale mismatch: baseline ran at {base_scale}, current at "
+             f"{cur_scale} — regenerate the baseline at the comparison scale")
+    check_hardware_threads(base_threads, cur_threads)
 
     matched = sorted(set(base) & set(cur))
     for name in sorted(set(base) - set(cur)):
@@ -83,13 +110,13 @@ def main():
     for name in sorted(set(cur) - set(base)):
         print(f"  [new]     {name}: not in baseline (skipped)")
     if not matched:
-        sys.exit("bench_compare: no common entries to compare")
+        fail("no common entries to compare")
 
     usable = [n for n in matched if base[n] >= args.min_ns]
     skipped = len(matched) - len(usable)
     if not usable:
-        sys.exit("bench_compare: every common entry is under --min-ns "
-                 f"({args.min_ns:.0f}); nothing comparable")
+        fail(f"every common entry is under --min-ns ({args.min_ns:.0f}); "
+             f"nothing comparable")
 
     ratios = {n: cur[n] / base[n] for n in usable}
     speed = 1.0 if args.absolute else statistics.median(ratios.values())

@@ -1,8 +1,8 @@
+#include <numeric>
 #include <utility>
 
 #include "core/constructors.h"
 #include "core/exec_internal.h"
-#include "storage/bat_ops.h"
 
 namespace rma::internal {
 
@@ -35,6 +35,16 @@ Result<Relation> Merge(std::vector<Attribute> lead_attrs,
   return Relation::Make(std::move(*schema), std::move(cols), rel_name);
 }
 
+/// Row indices of `p` in key order. Only tra, usv and opd cast a column, and
+/// none of them may skip the sort (neither row_order_invariant nor
+/// relative_align_ok), so an empty perm means the rows already were sorted.
+std::vector<int64_t> SortedRows(const PreparedArg& p) {
+  if (!p.identity()) return p.perm;
+  std::vector<int64_t> rows(static_cast<size_t>(p.rows));
+  std::iota(rows.begin(), rows.end(), 0);
+  return rows;
+}
+
 /// Result column names for the base result, per Table 2/3 (column origin).
 Result<std::vector<std::string>> ColumnOriginNames(const OpInfo& info,
                                                    const PreparedArg& r,
@@ -46,25 +56,11 @@ Result<std::vector<std::string>> ColumnOriginNames(const OpInfo& info,
     case Extent::kC2:
       RMA_CHECK(s != nullptr);
       return SchemaCast(s->rel.schema(), s->split.app_idx);
-    case Extent::kR1: {  // ▽U of r (|U| = 1)
-      std::vector<int64_t> perm = r.perm;
-      if (perm.empty()) {
-        // The column cast needs sorted values even when the rows themselves
-        // stayed unsorted (usv under SortPolicy::kOptimized).
-        std::vector<BatPtr> key = {r.rel.column(r.split.order_idx[0])};
-        perm = bat_ops::ArgSort(key);
-      }
-      return ColumnCast(r.rel, r.split.order_idx[0], perm);
-    }
-    case Extent::kR2: {  // ▽V of s (|V| = 1)
+    case Extent::kR1:  // ▽U of r (|U| = 1)
+      return ColumnCast(r.rel, r.split.order_idx[0], SortedRows(r));
+    case Extent::kR2:  // ▽V of s (|V| = 1)
       RMA_CHECK(s != nullptr);
-      std::vector<int64_t> perm = s->perm;
-      if (perm.empty()) {
-        std::vector<BatPtr> key = {s->rel.column(s->split.order_idx[0])};
-        perm = bat_ops::ArgSort(key);
-      }
-      return ColumnCast(s->rel, s->split.order_idx[0], perm);
-    }
+      return ColumnCast(s->rel, s->split.order_idx[0], SortedRows(*s));
     case Extent::kOne:
       return std::vector<std::string>{OpColumnName(info)};
     case Extent::kRStar:

@@ -66,7 +66,13 @@ void AddStage(RmaStats* stats, Stage stage, double seconds) {
 
 BatPtr PreparedArg::OrderColumn(size_t i) const {
   const BatPtr& col = rel.column(split.order_idx[i]);
-  return identity() ? col : col->Take(perm);
+  if (identity()) return col;
+  if (!col->StableData()) return col->Take(perm);
+  MutexLock lock(order_mu_);
+  if (order_memo_.empty()) order_memo_.resize(split.order_idx.size());
+  BatPtr& gathered = order_memo_[i];
+  if (gathered == nullptr) gathered = col->Take(perm);
+  return gathered;
 }
 
 BatPtr PreparedArg::AppColumnBat(size_t j) const {

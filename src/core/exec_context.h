@@ -24,7 +24,14 @@ class QueryCache;
 /// the row order (sort permutation), and the owning relation handle. Owns a
 /// Relation by value (shared column pointers — cheap), so cached instances
 /// stay valid after the caller's relation goes out of scope.
+///
+/// Not copyable: a copy would carry the order-part memo of an argument whose
+/// `perm` it may then change. Build variants from split, rows and rel.
 struct PreparedArg {
+  PreparedArg() = default;
+  PreparedArg(const PreparedArg&) = delete;
+  PreparedArg& operator=(const PreparedArg&) = delete;
+
   OrderSplit split;
   std::vector<int64_t> perm;  ///< empty => identity (rows already in order)
   int64_t rows = 0;
@@ -34,6 +41,12 @@ struct PreparedArg {
   int64_t app_cols() const { return static_cast<int64_t>(split.app_idx.size()); }
 
   /// Order-part column `i` of the result (gathered by perm when needed).
+  /// The gather of a malloc-backed (StableData) column runs once per
+  /// argument: every later call — any op, statement, context or thread that
+  /// reaches this argument through the prepared cache — returns the same
+  /// immutable column, freed with the argument. Paged columns are gathered
+  /// per call, so a cached argument never holds memory outside the buffer
+  /// pool's budget.
   BatPtr OrderColumn(size_t i) const;
 
   /// Application column `j` reordered, kept as a BAT (sparse preserved on
@@ -49,6 +62,13 @@ struct PreparedArg {
 
   /// Shape summary for the planner (rows, app width, sparse density).
   ArgShape Shape() const;
+
+ private:
+  /// Gathered order-part columns, filled lazily by OrderColumn. A cached
+  /// argument is shared across threads; a second caller waits on the mutex
+  /// for the first gather instead of repeating it.
+  mutable Mutex order_mu_;
+  mutable std::vector<BatPtr> order_memo_ RMA_GUARDED_BY(order_mu_);
 };
 
 using PreparedArgPtr = std::shared_ptr<const PreparedArg>;
@@ -61,8 +81,9 @@ using PreparedArgPtr = std::shared_ptr<const PreparedArg>;
 ///    stats sink and the op_stats() log), and cumulative across the context,
 ///  - a **borrowed** prepared-argument cache: the context delegates to a
 ///    QueryCache — the database-level cache when one was attached (so sort
-///    permutations are shared across statements and contexts), or a private
-///    per-context cache otherwise (the pre-promotion behavior),
+///    permutations, and the order parts gathered through them, are shared
+///    across statements and contexts), or a private per-context cache
+///    otherwise (the pre-promotion behavior),
 ///  - the physical plans of every executed operation (introspection, tests,
 ///    EXPLAIN ANALYZE).
 ///

@@ -48,6 +48,18 @@ Result<std::shared_ptr<PreparedArg>> ComputePrepared(
   return p;
 }
 
+/// `p` in its physical row order, for relative alignment: r keeps its rows
+/// as stored. Built from split, rows and rel rather than copied, so the
+/// variant never carries the sorted argument's order-part memo.
+PreparedArgPtr PhysicalOrder(const PreparedArgPtr& p) {
+  if (p->identity()) return p;
+  auto physical = std::make_shared<PreparedArg>();
+  physical->split = p->split;
+  physical->rows = p->rows;
+  physical->rel = p->rel;
+  return physical;
+}
+
 }  // namespace
 
 Result<PreparedArgPtr> PrepareArgument(ExecContext& ctx, const Relation& r,
@@ -102,11 +114,7 @@ Result<BinaryArgs> PrepareBinaryArgs(ExecContext& ctx, const OpInfo& info,
     // whole pipeline over (r, s) pays for one hash alignment, not one per
     // operation.
     if (PreparedArgPtr cached = ctx.LookupAligned(s, order_s, r, order_r)) {
-      if (!out.left->identity()) {
-        auto relaxed = std::make_shared<PreparedArg>(*out.left);
-        relaxed->perm.clear();
-        out.left = std::move(relaxed);
-      }
+      out.left = PhysicalOrder(out.left);
       out.right = cached;
       return out;
     }
@@ -152,12 +160,7 @@ Result<BinaryArgs> PrepareBinaryArgs(ExecContext& ctx, const OpInfo& info,
         }
       }
       if (out.right != nullptr) {
-        // r keeps its physical order.
-        if (!out.left->identity()) {
-          auto relaxed = std::make_shared<PreparedArg>(*out.left);
-          relaxed->perm.clear();
-          out.left = std::move(relaxed);
-        }
+        out.left = PhysicalOrder(out.left);
         ctx.RecordStage(Stage::kPrepare, timer.Seconds());
         ctx.StoreAligned(s, order_s, r, order_r, out.right);
         return out;

@@ -1,6 +1,7 @@
 // Tests for ExecContext: the evict-on-error audit of the borrowed
-// prepared-argument cache, and thread-safe stats aggregation when
-// concurrent operations share one context.
+// prepared-argument cache, thread-safe stats aggregation when concurrent
+// operations share one context, and concurrent readers of one cached
+// argument's order part.
 #include "core/exec_context.h"
 
 #include <gtest/gtest.h>
@@ -111,6 +112,42 @@ TEST(ExecContextConcurrencyTest, ConcurrentOpsOnOneContextStayConsistent) {
   EXPECT_EQ(ctx.totals().prepared_cache_hits +
                 ctx.totals().prepared_cache_misses,
             static_cast<int64_t>(total));
+}
+
+TEST(ExecContextConcurrencyTest, ConcurrentOpsShareOneOrderPartGather) {
+  Rng rng(53);
+  const Relation r = RandomKeyedRelation(4000, 3, &rng);
+  auto shared = std::make_shared<QueryCache>();
+  // rqr sorts r (the same prepared entry qqr uses under SortPolicy::kAlways)
+  // but never reads its order part, so the four qqrs below race on the
+  // entry's first order-part gather.
+  {
+    ExecContext primer(RmaOptions{}, shared);
+    ASSERT_OK(RmaUnary(&primer, MatrixOp::kRqr, r, {"id"}).status());
+  }
+  const int kThreads = 4;
+  std::vector<Relation> results(static_cast<size_t>(kThreads));
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ExecContext ctx(RmaOptions{}, shared);  // one per session
+      auto qqr = RmaUnary(&ctx, MatrixOp::kQqr, r, {"id"});
+      if (qqr.ok()) {
+        results[static_cast<size_t>(t)] = std::move(*qqr);
+      } else {
+        failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  ASSERT_EQ(failures.load(), 0);
+  EXPECT_EQ(shared->counters().prepared_hits, kThreads);
+  for (const Relation& q : results) {
+    EXPECT_EQ(q.column(0).get(), results[0].column(0).get());
+    EXPECT_TRUE(testing::BitIdentical(q, results[0]));
+  }
 }
 
 }  // namespace

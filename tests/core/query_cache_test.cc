@@ -308,6 +308,73 @@ TEST(QueryCacheTest, AlignedPermutationReusedAcrossElementwiseOps) {
   EXPECT_EQ(second.sort_seconds, 0.0);  // alignment reused, no hash pass
 }
 
+// --- order-part memo ---------------------------------------------------------
+
+TEST(QueryCacheTest, OrderPartGatheredOncePerCachedArgument) {
+  // add, qqr and sub all lead with r's order part in key order. r's key is
+  // shuffled, so that part is a gather through the cached sort permutation:
+  // the first op gathers it, every later hit on the entry reuses it.
+  Rng rng(26);
+  const Relation r = RandomKeyedRelation(2000, 4, &rng);
+  Relation s = RandomKeyedRelation(2000, 4, &rng, -10, 10, "s");
+  ASSERT_OK_AND_ASSIGN(s, s.RenameColumn(0, "id2"));
+  RmaOptions opts;
+  opts.sort = SortPolicy::kAlways;
+
+  auto shared = std::make_shared<QueryCache>();
+  ExecContext first(opts, shared);
+  ASSERT_OK_AND_ASSIGN(
+      const Relation add,
+      RmaBinary(&first, MatrixOp::kAdd, r, {"id"}, s, {"id2"}));
+  ASSERT_OK_AND_ASSIGN(const Relation qqr,
+                       RmaUnary(&first, MatrixOp::kQqr, r, {"id"}));
+  // Another context on the same cache (a later statement or session).
+  ExecContext second(opts, shared);
+  ASSERT_OK_AND_ASSIGN(
+      const Relation sub,
+      RmaBinary(&second, MatrixOp::kSub, r, {"id"}, s, {"id2"}));
+
+  EXPECT_NE(add.column(0).get(), r.column(0).get());
+  EXPECT_EQ(qqr.column(0).get(), add.column(0).get());
+  EXPECT_EQ(sub.column(0).get(), add.column(0).get());
+  EXPECT_EQ(sub.column(1).get(), add.column(1).get());  // s's order part
+
+  RmaOptions uncached = opts;
+  uncached.enable_prepared_cache = false;
+  ExecContext cold(uncached);
+  ASSERT_OK_AND_ASSIGN(
+      const Relation add_ref,
+      RmaBinary(&cold, MatrixOp::kAdd, r, {"id"}, s, {"id2"}));
+  ASSERT_OK_AND_ASSIGN(const Relation qqr_ref,
+                       RmaUnary(&cold, MatrixOp::kQqr, r, {"id"}));
+  ASSERT_OK_AND_ASSIGN(
+      const Relation sub_ref,
+      RmaBinary(&cold, MatrixOp::kSub, r, {"id"}, s, {"id2"}));
+  EXPECT_TRUE(testing::BitIdentical(add, add_ref));
+  EXPECT_TRUE(testing::BitIdentical(qqr, qqr_ref));
+  EXPECT_TRUE(testing::BitIdentical(sub, sub_ref));
+  // Without the cache every op prepares, and gathers, its own argument.
+  EXPECT_NE(qqr_ref.column(0).get(), add_ref.column(0).get());
+}
+
+TEST(QueryCacheTest, OrderPartMemoFreedWithItsEntry) {
+  Rng rng(27);
+  const Relation r = RandomKeyedRelation(1000, 4, &rng);
+  auto shared = std::make_shared<QueryCache>();
+  ExecContext ctx(RmaOptions{}, shared);
+  std::weak_ptr<Bat> memo;
+  {
+    ASSERT_OK_AND_ASSIGN(const Relation qqr,
+                         RmaUnary(&ctx, MatrixOp::kQqr, r, {"id"}));
+    memo = qqr.column(0);
+  }
+  // The cached argument keeps the gathered column past its results...
+  EXPECT_FALSE(memo.expired());
+  // ...and frees it with the entry.
+  shared->EvictRelation(r.identity());
+  EXPECT_TRUE(memo.expired());
+}
+
 // --- in-flight plan dedupe ----------------------------------------------------
 
 TEST(PlanDedupeTest, FirstAcquirerLeadsThenWaitersBorrow) {

@@ -66,6 +66,22 @@ TEST(RmaOps, TraNumericKeyValuesBecomeNames) {
   EXPECT_EQ(ColumnDoubles(t, "1"), (std::vector<double>{3, 4}));  // id=1 row
 }
 
+TEST(RmaOps, TraOverPresortedKeysCastsInRowOrder) {
+  // Keys already in order: the sort returns the identity (an empty perm),
+  // and the column cast reads the key values in row order.
+  const Relation sorted = MakeRelation({{"id", DataType::kInt64},
+                                        {"x", DataType::kDouble},
+                                        {"y", DataType::kDouble}},
+                                       {{int64_t{1}, 3.0, 4.0},
+                                        {int64_t{2}, 5.0, 6.0},
+                                        {int64_t{3}, 1.0, 2.0}},
+                                       "sorted");
+  const Relation t = Tra(sorted, {"id"}).ValueOrDie();
+  EXPECT_EQ(t.schema().Names(), (std::vector<std::string>{"C", "1", "2", "3"}));
+  EXPECT_EQ(ColumnDoubles(t, "1"), (std::vector<double>{3, 4}));
+  EXPECT_EQ(ColumnDoubles(t, "3"), (std::vector<double>{1, 2}));
+}
+
 TEST(RmaOps, QqrRequiresTall) {
   const Relation wide = MakeRelation({{"k", DataType::kInt64},
                                       {"x", DataType::kDouble},

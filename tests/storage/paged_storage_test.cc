@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/exec_context.h"
 #include "core/rma.h"
 #include "rel/operators.h"
 #include "sql/database.h"
@@ -301,6 +302,34 @@ TEST(Database, PagedVsMallocBitIdenticalUnderEviction) {
   const BufferPoolStats stats = db.paged_store()->pool()->stats();
   EXPECT_GT(stats.evictions, 0) << "pool never evicted; shrink pool_bytes";
   EXPECT_GT(stats.misses, 0);
+}
+
+/// The order-part memo holds malloc-backed columns only: over a paged
+/// relation, two ops served by one cached argument each gather their own
+/// order part, so the cache never holds RAM outside the pool's budget.
+TEST(Database, PagedOrderPartGatheredPerOp) {
+  const std::string dir = TempDir();
+  Rng rng(31);
+  const Relation r = testing::RandomKeyedRelation(5000, 3, &rng);  // shuffled
+  ASSERT_OK_AND_ASSIGN(sql::Database db,
+                       sql::Database::Open(dir, PagedStoreOptions{}));
+  ASSERT_OK(db.Register("r", r));
+  ASSERT_OK_AND_ASSIGN(const Relation paged, db.Get("r"));
+  ASSERT_FALSE(paged.column(0)->StableData());
+
+  ExecContext ctx(RmaOptions{}, db.query_cache());
+  ASSERT_OK_AND_ASSIGN(const Relation first,
+                       RmaUnary(&ctx, MatrixOp::kQqr, paged, {"id"}));
+  RmaStats warm;
+  ctx.mutable_options().stats = &warm;
+  ASSERT_OK_AND_ASSIGN(const Relation second,
+                       RmaUnary(&ctx, MatrixOp::kQqr, paged, {"id"}));
+  EXPECT_EQ(warm.prepared_cache_hits, 1);
+  EXPECT_NE(first.column(0).get(), second.column(0).get());
+
+  ASSERT_OK_AND_ASSIGN(const Relation base, Qqr(r, {"id"}));
+  EXPECT_TRUE(testing::BitIdentical(first, base));
+  EXPECT_TRUE(testing::BitIdentical(second, base));
 }
 
 /// Eviction stress with concurrent readers over one store-backed table:

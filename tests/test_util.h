@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,36 @@ inline Relation RandomKeyedRelation(int64_t n, int cols, Rng* rng,
   return Relation::Make(Schema::Make(std::move(attrs)).ValueOrDie(),
                         std::move(colsv), std::move(name))
       .ValueOrDie();
+}
+
+/// Cell-by-cell bit equality of two relations with equal schemas: double
+/// cells compare their bit patterns (signed zeros and NaN payloads count),
+/// every other cell its rendering.
+inline ::testing::AssertionResult BitIdentical(const Relation& a,
+                                               const Relation& b) {
+  if (!(a.schema() == b.schema()) || a.num_rows() != b.num_rows()) {
+    return ::testing::AssertionFailure() << "schemas or cardinalities differ";
+  }
+  for (int c = 0; c < a.num_columns(); ++c) {
+    const Bat& x = *a.column(c);
+    const Bat& y = *b.column(c);
+    for (int64_t i = 0; i < a.num_rows(); ++i) {
+      bool same = false;
+      if (x.type() == DataType::kDouble) {
+        const double u = x.GetDouble(i);
+        const double v = y.GetDouble(i);
+        same = std::memcmp(&u, &v, sizeof(double)) == 0;
+      } else {
+        same = x.GetString(i) == y.GetString(i);
+      }
+      if (!same) {
+        return ::testing::AssertionFailure()
+               << "cell (" << i << ", " << c << ") differs: " << x.GetString(i)
+               << " vs " << y.GetString(i);
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 /// Gathers one double column of a relation.
