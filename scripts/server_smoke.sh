@@ -2,9 +2,10 @@
 # End-to-end smoke of the server front-end: starts rma_server on an
 # ephemeral port, drives the Fig. 13 and Fig. 15 workloads through
 # rma_client, asserts the streamed row counts and plan-cache reuse, checks
-# statement-level error isolation, then SIGTERMs the server and asserts the
-# drain summary. CI runs this against the Release build
-# (.github/workflows/ci.yml, job server-smoke); locally:
+# statement-level error isolation and that a statement which traps in
+# hardware (INT64_MIN % -1) answers without taking the server down, then
+# SIGTERMs the server and asserts the drain summary. CI runs this against
+# the Release build (.github/workflows/ci.yml, job server-smoke); locally:
 #
 #   scripts/server_smoke.sh [build-dir]    # default: build
 set -euo pipefail
@@ -77,6 +78,19 @@ grep -q 'unknown table' <<<"${ISOLATION}" \
   || { echo "FAIL: server error did not reach the client" >&2; exit 1; }
 grep -q '^rows=3 ' <<<"${ISOLATION}" \
   || { echo "FAIL: session did not survive the failed statement" >&2; exit 1; }
+# INT64_MIN % -1 traps in hardware (SIGFPE). The evaluator must answer it
+# like any statement, 0 on every row, and the server must keep serving.
+TRAP="$("${CLIENT}" --port "${PORT}" \
+  -e "SELECT (-9223372036854775807 - 1) % -1 AS m FROM u;" --counts 2>&1)" \
+  || true
+echo "${TRAP}"
+grep -q '^rows=3 ' <<<"${TRAP}" \
+  || { echo "FAIL: INT64_MIN % -1 did not answer 3 rows" >&2; exit 1; }
+AFTER="$("${CLIENT}" --port "${PORT}" -e "SELECT * FROM u;" --counts 2>&1)" \
+  || true
+echo "${AFTER}"
+grep -q '^rows=3 ' <<<"${AFTER}" \
+  || { echo "FAIL: no new connection served after the trap" >&2; exit 1; }
 
 echo "--- graceful shutdown ---"
 kill -TERM "${SERVER_PID}"

@@ -66,6 +66,15 @@ class Expr {
 
 /// An expression compiled against a schema: column indices resolved and the
 /// result type inferred. Booleans are int64 0/1.
+///
+/// Evaluation runs a column at a time: one typed loop per operator over
+/// every row, with literals broadcast instead of repeated. The semantics
+/// are those of `Value`: comparisons between numbers happen in double (int64
+/// pairs included), numbers sort before strings and never equal one, `/`
+/// always yields a double, `x / 0` and `x % 0` are 0, `x % -1` is 0, and
+/// int64 `+ - *` and unary `-` wrap on overflow. A predicate holds on a
+/// non-empty string or a non-zero number. `AND`/`OR` evaluate both operands
+/// on every row; no operator traps, so that is safe.
 class BoundExpr {
  public:
   DataType type() const { return type_; }
@@ -74,19 +83,21 @@ class BoundExpr {
   int column_index() const { return column_index_; }
   bool is_column() const { return kind_ == Expr::Kind::kColumn; }
 
-  /// Evaluates on row `row` of `r` (which must match the bound schema).
-  Value Eval(const Relation& r, int64_t row) const;
+  /// The expression's value on every row of `r` (which must match the
+  /// bound schema), as a BAT of type(). A bare column reference returns the
+  /// column's own BAT.
+  BatPtr EvalColumn(const Relation& r) const;
 
-  /// Evaluates to a double (numeric expressions on hot-ish paths).
-  double EvalDouble(const Relation& r, int64_t row) const {
-    return ValueToDouble(Eval(r, row));
-  }
+  /// The rows of `r` on which the expression holds, ascending.
+  std::vector<int64_t> TrueRows(const Relation& r) const;
 
-  /// True iff the value is numeric non-zero (predicate evaluation).
-  bool EvalBool(const Relation& r, int64_t row) const;
+  /// One evaluated operand; defined and used in expression.cc only.
+  struct Vec;
 
  private:
   friend Result<BoundExpr> Bind(const ExprPtr& expr, const Schema& schema);
+
+  Vec Evaluate(const Relation& r) const;
 
   Expr::Kind kind_;
   DataType type_ = DataType::kInt64;

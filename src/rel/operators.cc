@@ -28,12 +28,7 @@ std::vector<T> ConcatColumn(const Relation& a, const Relation& b, int c) {
 
 Result<Relation> Select(const Relation& r, const ExprPtr& predicate) {
   RMA_ASSIGN_OR_RETURN(BoundExpr pred, Bind(predicate, r.schema()));
-  std::vector<int64_t> keep;
-  const int64_t n = r.num_rows();
-  for (int64_t i = 0; i < n; ++i) {
-    if (pred.EvalBool(r, i)) keep.push_back(i);
-  }
-  return r.TakeRows(keep);
+  return r.TakeRows(pred.TrueRows(r));
 }
 
 Result<Relation> ProjectNames(const Relation& r,
@@ -54,42 +49,9 @@ Result<Relation> Project(const Relation& r,
     bound.push_back(std::move(be));
   }
   RMA_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(attrs)));
-  const int64_t n = r.num_rows();
   std::vector<BatPtr> cols;
-  cols.reserve(items.size());
-  for (size_t c = 0; c < bound.size(); ++c) {
-    // Fast path: a bare column reference shares the BAT.
-    if (bound[c].is_column()) {
-      cols.push_back(r.column(bound[c].column_index()));
-      continue;
-    }
-    switch (schema.attribute(static_cast<int>(c)).type) {
-      case DataType::kInt64: {
-        std::vector<int64_t> v(static_cast<size_t>(n));
-        for (int64_t i = 0; i < n; ++i) {
-          v[static_cast<size_t>(i)] = std::get<int64_t>(bound[c].Eval(r, i));
-        }
-        cols.push_back(MakeInt64Bat(std::move(v)));
-        break;
-      }
-      case DataType::kDouble: {
-        std::vector<double> v(static_cast<size_t>(n));
-        for (int64_t i = 0; i < n; ++i) {
-          v[static_cast<size_t>(i)] = bound[c].EvalDouble(r, i);
-        }
-        cols.push_back(MakeDoubleBat(std::move(v)));
-        break;
-      }
-      case DataType::kString: {
-        std::vector<std::string> v(static_cast<size_t>(n));
-        for (int64_t i = 0; i < n; ++i) {
-          v[static_cast<size_t>(i)] = ValueToString(bound[c].Eval(r, i));
-        }
-        cols.push_back(MakeStringBat(std::move(v)));
-        break;
-      }
-    }
-  }
+  cols.reserve(bound.size());
+  for (const BoundExpr& be : bound) cols.push_back(be.EvalColumn(r));
   return Relation::Make(std::move(schema), std::move(cols), r.name());
 }
 
@@ -173,19 +135,24 @@ Result<Relation> HashJoinAt(const Relation& l, const Relation& r,
       rkeys[i] = MakeDoubleBat(ToDoubleVector(*rkeys[i]));
     }
   }
-  // Build on the smaller side.
+  // Build on the smaller side. Output order: probe rows in order, each
+  // with its matching build rows ascending (the chain order).
   const bool build_left = l.num_rows() <= r.num_rows();
   const auto& bkeys = build_left ? lkeys : rkeys;
   const auto& pkeys = build_left ? rkeys : lkeys;
-  bat_ops::RowIndex index = bat_ops::BuildRowIndex(bkeys);
+  const int64_t bn = build_left ? l.num_rows() : r.num_rows();
+  const int64_t pn = build_left ? r.num_rows() : l.num_rows();
+  const std::vector<uint64_t> bh = bat_ops::HashKeys(bkeys);
+  bat_ops::HashChains table(bn, bn);
+  for (int64_t i = 0; i < bn; ++i) table.Insert(bh[static_cast<size_t>(i)], i);
+  const std::vector<uint64_t> ph = bat_ops::HashKeys(pkeys);
+  const bat_ops::KeyEquals eq(bkeys, pkeys);
   std::vector<int64_t> li;
   std::vector<int64_t> ri;
-  const int64_t pn = build_left ? r.num_rows() : l.num_rows();
   for (int64_t i = 0; i < pn; ++i) {
-    auto it = index.find(bat_ops::HashRow(pkeys, i));
-    if (it == index.end()) continue;
-    for (int64_t cand : it->second) {
-      if (!bat_ops::EqualRows(bkeys, cand, pkeys, i)) continue;
+    for (int64_t cand = table.Find(ph[static_cast<size_t>(i)]); cand >= 0;
+         cand = table.Next(cand)) {
+      if (!eq(cand, i)) continue;
       if (build_left) {
         li.push_back(cand);
         ri.push_back(i);
@@ -271,22 +238,24 @@ Result<Relation> Aggregate(const Relation& r,
   if (gkeys.empty()) {
     rep_rows.push_back(0);  // single global group (present even if empty)
   } else {
-    std::unordered_map<uint64_t, std::vector<int64_t>> seen;  // hash -> groups
+    // The table chains each group's representative row; groups number in
+    // order of first appearance.
+    const std::vector<uint64_t> h = bat_ops::HashKeys(gkeys);
+    const bat_ops::KeyEquals eq(gkeys, gkeys);
+    bat_ops::HashChains table(n, 0);
     for (int64_t i = 0; i < n; ++i) {
-      const uint64_t h = bat_ops::HashRow(gkeys, i);
-      auto& cands = seen[h];
+      const uint64_t hi = h[static_cast<size_t>(i)];
       int64_t gid = -1;
-      for (int64_t cand : cands) {
-        if (bat_ops::EqualRows(gkeys, rep_rows[static_cast<size_t>(cand)],
-                               gkeys, i)) {
-          gid = cand;
+      for (int64_t rep = table.Find(hi); rep >= 0; rep = table.Next(rep)) {
+        if (eq(rep, i)) {
+          gid = group_of[static_cast<size_t>(rep)];
           break;
         }
       }
       if (gid < 0) {
         gid = static_cast<int64_t>(rep_rows.size());
         rep_rows.push_back(i);
-        cands.push_back(gid);
+        table.Insert(hi, i);
       }
       group_of[static_cast<size_t>(i)] = gid;
     }
@@ -294,17 +263,31 @@ Result<Relation> Aggregate(const Relation& r,
   const int64_t num_groups = static_cast<int64_t>(rep_rows.size());
   std::vector<std::vector<AggState>> state(
       aggs.size(), std::vector<AggState>(static_cast<size_t>(num_groups)));
-  for (int64_t i = 0; i < n; ++i) {
-    const int64_t g = group_of[static_cast<size_t>(i)];
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      AggState& st = state[a][static_cast<size_t>(g)];
-      st.count += 1;
-      if (aidx[a] >= 0) {
-        const double v = r.column(aidx[a])->GetDouble(i);
-        st.sum += v;
-        st.min = std::min(st.min, v);
-        st.max = std::max(st.max, v);
+  // One pass per aggregate over its argument column; every group still
+  // accumulates its rows in row order.
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    std::vector<AggState>& groups = state[a];
+    if (aidx[a] < 0) {
+      for (int64_t g : group_of) groups[static_cast<size_t>(g)].count += 1;
+      continue;
+    }
+    const Bat& col = *r.column(aidx[a]);
+    std::vector<double> converted;
+    const double* v = bat_ops::StableDoubles(col);
+    if (v == nullptr) {
+      converted.resize(static_cast<size_t>(n));
+      for (int64_t i = 0; i < n; ++i) {
+        converted[static_cast<size_t>(i)] = col.GetDouble(i);
       }
+      v = converted.data();
+    }
+    for (int64_t i = 0; i < n; ++i) {
+      const int64_t g = group_of[static_cast<size_t>(i)];
+      AggState& st = groups[static_cast<size_t>(g)];
+      st.count += 1;
+      st.sum += v[i];
+      st.min = std::min(st.min, v[i]);
+      st.max = std::max(st.max, v[i]);
     }
   }
   // Assemble output: group columns (values from representative rows) then
@@ -366,21 +349,19 @@ Result<Relation> SortBy(const Relation& r,
 
 Result<Relation> Distinct(const Relation& r) {
   const auto& cols = r.columns();
-  bat_ops::RowIndex seen;
-  std::vector<int64_t> keep;
   const int64_t n = r.num_rows();
+  const std::vector<uint64_t> h = bat_ops::HashKeys(cols);
+  const bat_ops::KeyEquals eq(cols, cols);
+  bat_ops::HashChains table(n, 0);
+  std::vector<int64_t> keep;
   for (int64_t i = 0; i < n; ++i) {
-    const uint64_t h = bat_ops::HashRow(cols, i);
-    auto& cands = seen[h];
+    const uint64_t hi = h[static_cast<size_t>(i)];
     bool dup = false;
-    for (int64_t cand : cands) {
-      if (bat_ops::EqualRows(cols, cand, cols, i)) {
-        dup = true;
-        break;
-      }
+    for (int64_t c = table.Find(hi); c >= 0 && !dup; c = table.Next(c)) {
+      dup = eq(c, i);
     }
     if (!dup) {
-      cands.push_back(i);
+      table.Insert(hi, i);
       keep.push_back(i);
     }
   }

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <unordered_set>
 
@@ -155,10 +156,65 @@ std::vector<std::string> UniquifyNames(std::vector<std::string> names) {
   return names;
 }
 
+// --- column pruning ---------------------------------------------------------
+
+/// Lower-cased names of the columns one SELECT references. Base tables in
+/// its FROM tree bind only the columns named here (late materialization);
+/// a null `needed` pointer binds every column.
+using ColumnNames = std::unordered_set<std::string>;
+
+void AddColumnNames(const SqlExprPtr& e, ColumnNames* out) {
+  if (e == nullptr) return;
+  if (e->kind == SqlExpr::Kind::kColumn) out->insert(ToLower(e->name));
+  for (const auto& a : e->args) AddColumnNames(a, out);
+}
+
+/// The JOIN ... ON conditions of a FROM tree. Subqueries and matrix
+/// operations are leaves: their columns belong to their own statements.
+void AddJoinColumnNames(const TableRefPtr& ref, ColumnNames* out) {
+  if (ref == nullptr || ref->kind != TableRef::Kind::kJoin) return;
+  AddColumnNames(ref->on, out);
+  AddJoinColumnNames(ref->left, out);
+  AddJoinColumnNames(ref->right, out);
+}
+
+/// Every name used as a column reference in the select list, WHERE,
+/// GROUP BY, ORDER BY or a JOIN ... ON of `stmt`, with any qualifier; none
+/// for `SELECT *`, which keeps every column. Matching by name alone keeps
+/// every column a reference could resolve to, so ambiguous and unknown
+/// column errors are unchanged.
+std::optional<ColumnNames> ReferencedColumns(const SelectStmt& stmt) {
+  ColumnNames names;
+  for (const auto& item : stmt.items) {
+    if (item.expr->kind == SqlExpr::Kind::kStar) return std::nullopt;
+    AddColumnNames(item.expr, &names);
+  }
+  AddColumnNames(stmt.where, &names);
+  for (const auto& g : stmt.group_by) AddColumnNames(g, &names);
+  for (const auto& o : stmt.order_by) AddColumnNames(o.expr, &names);
+  AddJoinColumnNames(stmt.from, &names);
+  return names;
+}
+
+/// The columns of `rel` that `needed` names, or its first column when it
+/// names none, so the row count survives.
+Relation KeepNeeded(const Relation& rel, const ColumnNames& needed) {
+  std::vector<int> keep;
+  for (int c = 0; c < rel.num_columns(); ++c) {
+    if (needed.count(ToLower(rel.schema().attribute(c).name)) > 0) {
+      keep.push_back(c);
+    }
+  }
+  if (static_cast<int>(keep.size()) == rel.num_columns()) return rel;
+  if (keep.empty()) keep.push_back(0);
+  return rel.SelectColumns(keep);
+}
+
 // --- FROM evaluation --------------------------------------------------------
 
 Result<Bound> EvaluateTableRef(const Database& db, const TableRefPtr& ref,
-                               ExecContext* ctx, PlanCacheState* pcs);
+                               ExecContext* ctx, PlanCacheState* pcs,
+                               const ColumnNames* needed);
 
 /// Turns a (possibly nested) FROM-clause operation reference into an
 /// algebra expression: kRmaOp children stay symbolic so the rewriter can
@@ -175,7 +231,9 @@ Result<RmaExprPtr> BuildRmaExpr(const Database& db, const TableRefPtr& ref,
   if (ref->kind != TableRef::Kind::kRmaOp) {
     PlanCacheState nested;
     nested.binds = binds;
-    RMA_ASSIGN_OR_RETURN(Bound b, EvaluateTableRef(db, ref, ctx, &nested));
+    // Operation arguments bind whole: their columns are the matrix.
+    RMA_ASSIGN_OR_RETURN(Bound b, EvaluateTableRef(db, ref, ctx, &nested,
+                                                   /*needed=*/nullptr));
     return RmaExpr::Leaf(std::move(b.rel));
   }
   auto expr = std::make_shared<RmaExpr>();
@@ -203,9 +261,12 @@ void CollectJoinConditions(const SqlExprPtr& e, std::vector<SqlExprPtr>* out) {
 }
 
 Result<Bound> EvaluateJoin(const Database& db, const TableRef& ref,
-                           ExecContext* ctx, PlanCacheState* pcs) {
-  RMA_ASSIGN_OR_RETURN(Bound left, EvaluateTableRef(db, ref.left, ctx, pcs));
-  RMA_ASSIGN_OR_RETURN(Bound right, EvaluateTableRef(db, ref.right, ctx, pcs));
+                           ExecContext* ctx, PlanCacheState* pcs,
+                           const ColumnNames* needed) {
+  RMA_ASSIGN_OR_RETURN(Bound left,
+                       EvaluateTableRef(db, ref.left, ctx, pcs, needed));
+  RMA_ASSIGN_OR_RETURN(Bound right,
+                       EvaluateTableRef(db, ref.right, ctx, pcs, needed));
   Bound combined;
   combined.names = left.names;
   combined.names.insert(combined.names.end(), right.names.begin(),
@@ -267,18 +328,22 @@ Result<Relation> ExecuteSelectImpl(const Database& db, const SelectStmt& stmt,
                                    ExecContext* ctx, PlanCacheState* pcs);
 
 Result<Bound> EvaluateTableRef(const Database& db, const TableRefPtr& ref,
-                               ExecContext* ctx, PlanCacheState* pcs) {
+                               ExecContext* ctx, PlanCacheState* pcs,
+                               const ColumnNames* needed) {
   switch (ref->kind) {
     case TableRef::Kind::kTable: {
       RMA_ASSIGN_OR_RETURN(Relation rel, db.Get(ref->table_name));
       if (pcs != nullptr && pcs->binds != nullptr) {
         pcs->binds->emplace_back(ToLower(ref->table_name), rel.identity());
       }
+      // Late materialization: only the columns the statement names are
+      // gathered by joins, and only they fault in from a paged store.
+      if (needed != nullptr) rel = KeepNeeded(rel, *needed);
       // Store-backed tables bind as a resident malloc copy: the relational
-      // operators and streamed results read row-at-a-time with no Status
-      // path, so residency faults (torn-page checksums) must surface here,
-      // as this statement's error. Matrix operations (kRmaOp below) keep
-      // the paged columns and pin at the staged-executor seam instead.
+      // operators and streamed results read through accessors with no
+      // Status path, so residency faults (torn-page checksums) must surface
+      // here, as this statement's error. Matrix operations (kRmaOp below)
+      // keep the paged columns and pin at the staged-executor seam instead.
       RMA_ASSIGN_OR_RETURN(rel, MaterializeUnstable(rel));
       const std::string alias =
           ref->alias.empty() ? ref->table_name : ref->alias;
@@ -330,7 +395,7 @@ Result<Bound> EvaluateTableRef(const Database& db, const TableRefPtr& ref,
       return BindRelation(std::move(rel), ref->alias);
     }
     case TableRef::Kind::kJoin:
-      return EvaluateJoin(db, *ref, ctx, pcs);
+      return EvaluateJoin(db, *ref, ctx, pcs, needed);
   }
   return Status::Invalid("unreachable table-ref kind");
 }
@@ -486,7 +551,10 @@ Result<Relation> ExecuteSelectImpl(const Database& db, const SelectStmt& stmt,
   if (stmt.from == nullptr) {
     return Status::Invalid("query requires a FROM clause");
   }
-  RMA_ASSIGN_OR_RETURN(Bound from, EvaluateTableRef(db, stmt.from, ctx, pcs));
+  const std::optional<ColumnNames> needed = ReferencedColumns(stmt);
+  RMA_ASSIGN_OR_RETURN(
+      Bound from, EvaluateTableRef(db, stmt.from, ctx, pcs,
+                                   needed.has_value() ? &*needed : nullptr));
   if (stmt.where != nullptr) {
     RMA_ASSIGN_OR_RETURN(rel::ExprPtr pred, ResolveScalar(stmt.where, from));
     RMA_ASSIGN_OR_RETURN(from.rel, rel::Select(from.rel, pred));

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <numeric>
 
 #include "storage/sparse_bat.h"
@@ -103,55 +104,115 @@ bool IsSorted(const std::vector<BatPtr>& keys) {
   return true;
 }
 
-bool IsKey(const std::vector<BatPtr>& keys) {
-  if (keys.empty()) return true;
-  const int64_t n = keys[0]->size();
-  // Flat open-addressing duplicate probe — one O(n) hash pass instead of a
-  // sort (this backs the key validation on the sort-avoiding paths).
-  size_t cap = 16;
-  while (cap < static_cast<size_t>(n) * 2) cap <<= 1;
-  const size_t mask = cap - 1;
-  std::vector<int64_t> slot(cap, -1);
-  std::vector<uint64_t> hashes(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    const uint64_t h = HashRow(keys, i);
-    hashes[static_cast<size_t>(i)] = h;
-    size_t pos = static_cast<size_t>(h) & mask;
-    while (slot[pos] >= 0) {
-      if (hashes[static_cast<size_t>(slot[pos])] == h &&
-          EqualRows(keys, slot[pos], keys, i)) {
-        return false;
-      }
-      pos = (pos + 1) & mask;
-    }
-    slot[pos] = i;
-  }
-  return true;
+namespace {
+
+constexpr uint64_t kHashSeed = 1469598103934665603ULL;  // FNV offset basis
+
+inline void MixHash(uint64_t* h, uint64_t v) {
+  *h ^= v + 0x9e3779b97f4a7c15ULL + (*h << 6) + (*h >> 2);
 }
 
-uint64_t HashRow(const std::vector<BatPtr>& keys, int64_t i) {
-  uint64_t h = 1469598103934665603ULL;  // FNV offset basis
-  for (const auto& k : keys) {
-    const uint64_t v = k->Hash(i);
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+template <typename T>
+void MixColumn(const T* v, std::vector<uint64_t>* hashes) {
+  const std::hash<T> hash;
+  uint64_t* h = hashes->data();
+  const size_t n = hashes->size();
+  for (size_t i = 0; i < n; ++i) MixHash(&h[i], hash(v[i]));
+}
+
+}  // namespace
+
+const double* StableDoubles(const Bat& col) {
+  return col.StableData() ? col.ContiguousDoubleData() : nullptr;
+}
+
+std::vector<uint64_t> HashKeys(const std::vector<BatPtr>& keys) {
+  const int64_t n = keys.empty() ? 0 : keys[0]->size();
+  std::vector<uint64_t> h(static_cast<size_t>(n), kHashSeed);
+  for (const BatPtr& k : keys) {
+    if (const auto* b = dynamic_cast<const Int64Bat*>(k.get())) {
+      MixColumn(b->data().data(), &h);
+    } else if (const double* d = StableDoubles(*k)) {
+      MixColumn(d, &h);
+    } else if (const auto* s = dynamic_cast<const StringBat*>(k.get())) {
+      MixColumn(s->data().data(), &h);
+    } else {
+      for (int64_t i = 0; i < n; ++i) {
+        MixHash(&h[static_cast<size_t>(i)], k->Hash(i));
+      }
+    }
   }
   return h;
 }
 
-RowIndex BuildRowIndex(const std::vector<BatPtr>& keys) {
-  RowIndex index;
-  if (keys.empty()) return index;
-  const int64_t n = keys[0]->size();
-  index.reserve(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) index[HashRow(keys, i)].push_back(i);
-  return index;
+KeyEquals::KeyEquals(const std::vector<BatPtr>& a,
+                     const std::vector<BatPtr>& b) {
+  RMA_CHECK(a.size() == b.size());
+  pairs_.resize(a.size());
+  for (size_t c = 0; c < a.size(); ++c) {
+    Pair& p = pairs_[c];
+    p.ba = a[c].get();
+    p.bb = b[c].get();
+    const auto* ia = dynamic_cast<const Int64Bat*>(p.ba);
+    const auto* ib = dynamic_cast<const Int64Bat*>(p.bb);
+    const auto* sa = dynamic_cast<const StringBat*>(p.ba);
+    const auto* sb = dynamic_cast<const StringBat*>(p.bb);
+    if (ia != nullptr && ib != nullptr) {
+      p.kind = Kind::kInt64;
+      p.ia = ia->data().data();
+      p.ib = ib->data().data();
+    } else if (sa != nullptr && sb != nullptr) {
+      p.kind = Kind::kString;
+      p.sa = sa->data().data();
+      p.sb = sb->data().data();
+    } else {
+      p.da = StableDoubles(*p.ba);
+      p.db = StableDoubles(*p.bb);
+      if (p.da != nullptr && p.db != nullptr) p.kind = Kind::kDouble;
+    }
+  }
 }
 
-bool EqualRows(const std::vector<BatPtr>& a, int64_t i,
-               const std::vector<BatPtr>& b, int64_t j) {
-  RMA_DCHECK(a.size() == b.size());
-  for (size_t c = 0; c < a.size(); ++c) {
-    if (a[c]->Compare(i, *b[c], j) != 0) return false;
+HashChains::HashChains(int64_t rows, int64_t expected_hashes)
+    : next_(static_cast<size_t>(rows), -1) {
+  size_t cap = 16;
+  while (cap < static_cast<size_t>(expected_hashes) * 2) cap <<= 1;
+  slots_.resize(cap);
+  mask_ = cap - 1;
+}
+
+void HashChains::Insert(uint64_t h, int64_t row) {
+  Slot& s = slots_[Probe(h)];
+  if (s.head >= 0) {
+    next_[static_cast<size_t>(s.tail)] = row;
+    s.tail = row;
+    return;
+  }
+  s = Slot{h, row, row};
+  if (++used_ * 2 <= slots_.size()) return;
+  // Grow: chains live in next_, so only the slots move.
+  const std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.size() * 2, Slot{});
+  mask_ = slots_.size() - 1;
+  for (const Slot& o : old) {
+    if (o.head >= 0) slots_[Probe(o.hash)] = o;
+  }
+}
+
+bool IsKey(const std::vector<BatPtr>& keys) {
+  if (keys.empty()) return true;
+  const int64_t n = keys[0]->size();
+  // One O(n) hash pass instead of a sort (this backs the key validation on
+  // the sort-avoiding paths).
+  const std::vector<uint64_t> h = HashKeys(keys);
+  const KeyEquals eq(keys, keys);
+  HashChains table(n, n);
+  for (int64_t i = 0; i < n; ++i) {
+    const uint64_t hi = h[static_cast<size_t>(i)];
+    for (int64_t c = table.Find(hi); c >= 0; c = table.Next(c)) {
+      if (eq(c, i)) return false;
+    }
+    table.Insert(hi, i);
   }
   return true;
 }
@@ -163,43 +224,35 @@ Result<std::vector<int64_t>> AlignByKey(const std::vector<BatPtr>& build,
   if (build[0]->size() != n) {
     return Status::Invalid("AlignByKey: relations differ in cardinality");
   }
-  // Flat open-addressing table (linear probing, power-of-two capacity): a
-  // single allocation instead of one bucket vector per distinct key, which
-  // is what makes hash alignment cheaper than two multi-column sorts.
-  size_t cap = 16;
-  while (cap < static_cast<size_t>(n) * 2) cap <<= 1;
-  const size_t mask = cap - 1;
-  std::vector<int64_t> slot(cap, -1);
-  std::vector<uint64_t> hashes(static_cast<size_t>(n));
+  // A flat table with one allocation per array instead of one bucket vector
+  // per distinct key is what makes hash alignment cheaper than two
+  // multi-column sorts.
+  const std::vector<uint64_t> bh = HashKeys(build);
+  const KeyEquals build_eq(build, build);
+  HashChains table(n, n);
   for (int64_t i = 0; i < n; ++i) {
-    const uint64_t h = HashRow(build, i);
-    hashes[static_cast<size_t>(i)] = h;
-    size_t pos = static_cast<size_t>(h) & mask;
-    while (slot[pos] >= 0) {
-      if (hashes[static_cast<size_t>(slot[pos])] == h &&
-          EqualRows(build, slot[pos], build, i)) {
+    const uint64_t h = bh[static_cast<size_t>(i)];
+    for (int64_t c = table.Find(h); c >= 0; c = table.Next(c)) {
+      if (build_eq(c, i)) {
         // Duplicate build key: the order schema is not a key. The sorting
         // fallback re-detects this and reports the user-facing error.
         return Status::KeyError("AlignByKey: build keys are not unique");
       }
-      pos = (pos + 1) & mask;
     }
-    slot[pos] = i;
+    table.Insert(h, i);
   }
+  const std::vector<uint64_t> ph = HashKeys(probe);
+  const KeyEquals eq(build, probe);
   std::vector<int64_t> out(static_cast<size_t>(n), -1);
   std::vector<uint8_t> consumed(static_cast<size_t>(n), 0);
   for (int64_t i = 0; i < n; ++i) {
-    const uint64_t h = HashRow(probe, i);
-    size_t pos = static_cast<size_t>(h) & mask;
     int64_t match = -1;
-    while (slot[pos] >= 0) {
-      const int64_t cand = slot[pos];
-      if (hashes[static_cast<size_t>(cand)] == h &&
-          EqualRows(build, cand, probe, i)) {
-        match = cand;
+    for (int64_t c = table.Find(ph[static_cast<size_t>(i)]); c >= 0;
+         c = table.Next(c)) {
+      if (eq(c, i)) {
+        match = c;
         break;
       }
-      pos = (pos + 1) & mask;
     }
     if (match < 0) {
       return Status::KeyError("AlignByKey: probe row has no matching key");
@@ -415,16 +468,6 @@ double Dot(const std::vector<double>& a, const std::vector<double>& b) {
 
 double Sum(const std::vector<double>& a) {
   return simd::Sum(a.data(), static_cast<int64_t>(a.size()));
-}
-
-std::vector<int64_t> SelectIndices(
-    const Bat& bat, const std::function<bool(const Value&)>& pred) {
-  std::vector<int64_t> out;
-  const int64_t n = bat.size();
-  for (int64_t i = 0; i < n; ++i) {
-    if (pred(bat.GetValue(i))) out.push_back(i);
-  }
-  return out;
 }
 
 namespace {

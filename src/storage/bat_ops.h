@@ -2,8 +2,7 @@
 #define RMA_STORAGE_BAT_OPS_H_
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "storage/bat.h"
@@ -15,8 +14,8 @@ namespace rma {
 ///
 /// Relational operators and the BAT-resident matrix kernels are written in
 /// terms of these primitives: multi-column stable argsort, gather
-/// (leftfetchjoin), predicated selection producing candidate lists, hash-key
-/// maps, and double-column arithmetic.
+/// (leftfetchjoin), predicated selection producing candidate lists,
+/// column-wise key hashing, and double-column arithmetic.
 namespace bat_ops {
 
 /// Stable argsort of rows under the lexicographic order of `keys`
@@ -35,17 +34,113 @@ bool IsSorted(const std::vector<BatPtr>& keys);
 /// True if all key rows are pairwise distinct. O(n) extra space.
 bool IsKey(const std::vector<BatPtr>& keys);
 
-/// 64-bit row hash combining all `keys` at row `i`.
-uint64_t HashRow(const std::vector<BatPtr>& keys, int64_t i);
+/// The contiguous doubles of `col` when that pointer stays valid without a
+/// pin (dense double columns and their slice views), else nullptr. A paged
+/// column's frame pointer is only valid under its caller's pin, so the
+/// typed loops below read paged columns through their accessors instead.
+const double* StableDoubles(const Bat& col);
 
-/// Hash map from key-row hash -> row indices. Collisions are resolved by the
-/// caller via EqualRows.
-using RowIndex = std::unordered_map<uint64_t, std::vector<int64_t>>;
-RowIndex BuildRowIndex(const std::vector<BatPtr>& keys);
+/// Row hashes of `keys` (all BATs of equal length), one typed pass per key
+/// column: `out[i]` folds `std::hash` of each cell of row `i`, in column
+/// order, into an FNV-seeded accumulator, so NaN and ±0.0 bucket exactly as
+/// `std::hash` puts them. Int64Bat, StringBat and StableDoubles columns are
+/// read as arrays; any other representation goes through Bat::Hash.
+std::vector<uint64_t> HashKeys(const std::vector<BatPtr>& keys);
 
-/// True if row `i` of `a` equals row `j` of `b` column-wise.
-bool EqualRows(const std::vector<BatPtr>& a, int64_t i,
-               const std::vector<BatPtr>& b, int64_t j);
+/// Typed row equality between two equally wide key lists: `(*this)(i, j)`
+/// is true when row `i` of `a` equals row `j` of `b` in every column under
+/// Bat::Compare's test — `<` in neither direction, so NaN equals
+/// everything. Column pairs that are both Int64Bat, both StringBat or both
+/// StableDoubles compare as arrays; any other pair calls Bat::Compare.
+/// Holds raw pointers: the key BATs must outlive it.
+class KeyEquals {
+ public:
+  KeyEquals(const std::vector<BatPtr>& a, const std::vector<BatPtr>& b);
+
+  bool operator()(int64_t i, int64_t j) const {
+    for (const Pair& p : pairs_) {
+      switch (p.kind) {
+        case Kind::kInt64:
+          // int64 and string orders are total: `!=` is the `<` test.
+          if (p.ia[i] != p.ib[j]) return false;
+          break;
+        case Kind::kDouble: {
+          const double x = p.da[i];
+          const double y = p.db[j];
+          if (x < y || y < x) return false;
+          break;
+        }
+        case Kind::kString:
+          if (p.sa[i] != p.sb[j]) return false;
+          break;
+        case Kind::kBat:
+          if (p.ba->Compare(i, *p.bb, j) != 0) return false;
+          break;
+      }
+    }
+    return true;
+  }
+
+ private:
+  enum class Kind { kInt64, kDouble, kString, kBat };
+  struct Pair {
+    Kind kind = Kind::kBat;
+    const int64_t* ia = nullptr;
+    const int64_t* ib = nullptr;
+    const double* da = nullptr;
+    const double* db = nullptr;
+    const std::string* sa = nullptr;
+    const std::string* sb = nullptr;
+    const Bat* ba = nullptr;
+    const Bat* bb = nullptr;
+  };
+  std::vector<Pair> pairs_;
+};
+
+/// Flat open-addressing table (linear probing, power-of-two capacity, load
+/// at most 1/2) from a row hash to the rows inserted under it, chained in
+/// insertion order. One slot per distinct hash plus one link per row,
+/// instead of a bucket vector per key. Callers walk a chain with Find/Next
+/// and test each row with KeyEquals, so rows whose keys compare equal but
+/// hash apart (NaN against a number) never meet, exactly as with a hash map.
+class HashChains {
+ public:
+  /// Row ids passed to Insert must lie in [0, rows). The table starts with
+  /// room for `expected_hashes` distinct hashes (callers that insert every
+  /// row pass `rows`; group-by and distinct, which cannot know, pass 0)
+  /// and doubles when half full.
+  HashChains(int64_t rows, int64_t expected_hashes);
+
+  /// First row inserted under `h`, or -1.
+  int64_t Find(uint64_t h) const { return slots_[Probe(h)].head; }
+
+  /// The row inserted under the same hash after `row`, or -1.
+  int64_t Next(int64_t row) const { return next_[static_cast<size_t>(row)]; }
+
+  /// Appends `row` to the chain of `h`.
+  void Insert(uint64_t h, int64_t row);
+
+ private:
+  struct Slot {
+    uint64_t hash = 0;
+    int64_t head = -1;  ///< -1: empty
+    int64_t tail = -1;
+  };
+
+  /// The slot holding `h`, or the empty slot where it belongs.
+  size_t Probe(uint64_t h) const {
+    size_t pos = static_cast<size_t>(h) & mask_;
+    while (slots_[pos].head >= 0 && slots_[pos].hash != h) {
+      pos = (pos + 1) & mask_;
+    }
+    return pos;
+  }
+
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  size_t used_ = 0;
+  std::vector<int64_t> next_;
+};
 
 /// For each row of `probe` keys, finds the index of the matching row in
 /// `build` keys. Returns KeyError if some probe row has no match or either
@@ -101,10 +196,6 @@ double Dot(const std::vector<double>& a, const std::vector<double>& b);
 double Sum(const std::vector<double>& a);
 
 // --- predicated selection (candidate lists) --------------------------------
-
-/// Row indices where pred(bat value) holds.
-std::vector<int64_t> SelectIndices(const Bat& bat,
-                                   const std::function<bool(const Value&)>& pred);
 
 /// Row indices where the double value compares `op` against `threshold`;
 /// op is one of "<", "<=", ">", ">=", "==", "!=". Fast path for doubles/ints.

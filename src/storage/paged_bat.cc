@@ -1,8 +1,8 @@
 #include "storage/paged_bat.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 
 #include "util/string_util.h"
 
@@ -115,6 +115,18 @@ BatPtr PagedBat<T>::Take(const std::vector<int64_t>& indices) const {
 }
 
 template <typename T>
+Result<BatPtr> PagedBat<T>::Materialize() const {
+  RMA_RETURN_NOT_OK(PinData());
+  std::vector<T> v(static_cast<size_t>(rows_));
+  {
+    MutexLock lock(mu_);
+    std::copy_n(ValuesLocked(), rows_, v.data());
+  }
+  UnpinData();
+  return BatPtr(std::make_shared<TypedBat<T>>(std::move(v)));
+}
+
+template <typename T>
 int PagedBat<T>::Compare(int64_t i, const Bat& other, int64_t j) const {
   const T a = ValueAt(i);
   // Typed comparison whenever the other side exposes T exactly (another
@@ -173,30 +185,14 @@ Result<Relation> MaterializeUnstable(const Relation& r) {
       cols.push_back(col);
       continue;
     }
-    RMA_RETURN_NOT_OK(col->PinData());
-    const int64_t n = col->size();
     BatPtr copy;
-    if (col->type() == DataType::kDouble) {
-      const double* d = col->ContiguousDoubleData();
-      std::vector<double> v(static_cast<size_t>(n));
-      if (d != nullptr) {
-        std::memcpy(v.data(), d, static_cast<size_t>(n) * sizeof(double));
-      } else {
-        for (int64_t i = 0; i < n; ++i) v[static_cast<size_t>(i)] = col->GetDouble(i);
-      }
-      copy = MakeDoubleBat(std::move(v));
-    } else if (col->type() == DataType::kInt64) {
-      std::vector<int64_t> v(static_cast<size_t>(n));
-      for (int64_t i = 0; i < n; ++i) {
-        v[static_cast<size_t>(i)] = std::get<int64_t>(col->GetValue(i));
-      }
-      copy = MakeInt64Bat(std::move(v));
+    if (const auto* d = dynamic_cast<const PagedDoubleBat*>(col.get())) {
+      RMA_ASSIGN_OR_RETURN(copy, d->Materialize());
+    } else if (const auto* i = dynamic_cast<const PagedInt64Bat*>(col.get())) {
+      RMA_ASSIGN_OR_RETURN(copy, i->Materialize());
     } else {
-      std::vector<std::string> v(static_cast<size_t>(n));
-      for (int64_t i = 0; i < n; ++i) v[static_cast<size_t>(i)] = col->GetString(i);
-      copy = MakeStringBat(std::move(v));
+      return Status::NotImplemented("no resident copy for this column kind");
     }
-    col->UnpinData();
     cols.push_back(std::move(copy));
   }
   RMA_ASSIGN_OR_RETURN(Relation out,

@@ -64,6 +64,11 @@ class PagedBat final : public Bat {
     return rows_ * static_cast<int64_t>(sizeof(T));
   }
 
+  /// A malloc TypedBat<T> copy of the whole column, read from the pinned
+  /// extent in one pass. Fails with the pin's status when the extent cannot
+  /// fault in (a corrupt page).
+  Result<BatPtr> Materialize() const;
+
  private:
   /// Reads one element, pinning transiently when no bracket pin is active.
   /// I/O failure here (corrupt page outside any Status-bearing seam) warns
@@ -111,9 +116,9 @@ class PinnedRelations {
 /// Returns `r` unchanged when every column's data pointers are stable
 /// (malloc-backed); otherwise a malloc-backed copy of the unstable columns
 /// (same schema and name, fresh identity). The SQL layer calls this at
-/// table-bind time so the row-at-a-time relational operators and streamed
-/// results only ever touch resident data, and torn-page checksum failures
-/// become statement errors instead of accessor-level surprises.
+/// table-bind time so the relational operators and streamed results only
+/// ever touch resident data, and torn-page checksum failures become
+/// statement errors instead of accessor-level surprises.
 Result<Relation> MaterializeUnstable(const Relation& r);
 
 }  // namespace rma

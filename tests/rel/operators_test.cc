@@ -1,6 +1,8 @@
 // Relational algebra operators and the expression layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "rel/expression.h"
 #include "rel/operators.h"
 #include "test_util.h"
@@ -25,13 +27,24 @@ Relation People() {
 
 // --- expressions ------------------------------------------------------------
 
+// Row `row` of the expression's evaluated column, as a double.
+double ValueAt(const rel::BoundExpr& be, const Relation& r, int64_t row) {
+  return be.EvalColumn(r)->GetDouble(row);
+}
+
+// Whether the predicate holds on row `row`.
+bool HoldsAt(const rel::BoundExpr& be, const Relation& r, int64_t row) {
+  const std::vector<int64_t> rows = be.TrueRows(r);
+  return std::find(rows.begin(), rows.end(), row) != rows.end();
+}
+
 TEST(Expression, ArithmeticAndTypes) {
   const Relation r = People();
   const auto e = Expr::Binary("*", Expr::Column("salary"),
                               Expr::LiteralInt(2));
   const rel::BoundExpr be = Bind(e, r.schema()).ValueOrDie();
   EXPECT_EQ(be.type(), DataType::kDouble);
-  EXPECT_EQ(be.EvalDouble(r, 0), 200.0);
+  EXPECT_EQ(ValueAt(be, r, 0), 200.0);
   // Integer arithmetic stays integral except division.
   const auto ie = Expr::Binary("+", Expr::Column("age"), Expr::LiteralInt(1));
   EXPECT_EQ(Bind(ie, r.schema()).ValueOrDie().type(), DataType::kInt64);
@@ -46,20 +59,21 @@ TEST(Expression, ComparisonsAndLogic) {
       Expr::Binary(">", Expr::Column("age"), Expr::LiteralInt(28)),
       Expr::Binary("=", Expr::Column("dept"), Expr::LiteralString("db")));
   const rel::BoundExpr be = Bind(e, r.schema()).ValueOrDie();
-  EXPECT_TRUE(be.EvalBool(r, 0));   // ann: 30, db
-  EXPECT_FALSE(be.EvalBool(r, 1));  // bob: ml
-  EXPECT_FALSE(be.EvalBool(r, 2));  // cat: 25
+  EXPECT_TRUE(HoldsAt(be, r, 0));   // ann: 30, db
+  EXPECT_FALSE(HoldsAt(be, r, 1));  // bob: ml
+  EXPECT_FALSE(HoldsAt(be, r, 2));  // cat: 25
   const auto ne = Expr::Unary("NOT", e);
-  EXPECT_FALSE(Bind(ne, r.schema()).ValueOrDie().EvalBool(r, 0));
+  EXPECT_FALSE(HoldsAt(Bind(ne, r.schema()).ValueOrDie(), r, 0));
 }
 
 TEST(Expression, Functions) {
   const Relation r = People();
   const auto e = Expr::Call("SQRT", {Expr::Column("salary")});
-  EXPECT_NEAR(Bind(e, r.schema()).ValueOrDie().EvalDouble(r, 0), 10.0, 1e-12);
+  EXPECT_NEAR(ValueAt(Bind(e, r.schema()).ValueOrDie(), r, 0), 10.0, 1e-12);
   const auto p = Expr::Call(
       "POW", {Expr::LiteralDouble(2.0), Expr::LiteralDouble(10.0)});
-  EXPECT_NEAR(Bind(p, r.schema()).ValueOrDie().EvalDouble(r, 0), 1024.0, 1e-12);
+  EXPECT_NEAR(ValueAt(Bind(p, r.schema()).ValueOrDie(), r, 0), 1024.0,
+              1e-12);
 }
 
 TEST(Expression, BindErrors) {
@@ -78,7 +92,7 @@ TEST(Expression, BindErrors) {
 TEST(Expression, PositionalColumnRefs) {
   const Relation r = People();
   const rel::BoundExpr be = Bind(Expr::ColumnAt(2), r.schema()).ValueOrDie();
-  EXPECT_EQ(be.EvalDouble(r, 1), 40.0);
+  EXPECT_EQ(ValueAt(be, r, 1), 40.0);
   EXPECT_STATUS(kKeyError, Bind(Expr::ColumnAt(9), r.schema()));
 }
 

@@ -312,5 +312,81 @@ TEST(SqlEndToEnd, CatalogVersionAdvancesOnMutations) {
   EXPECT_GT(db.catalog_version(), v2);
 }
 
+// INT64_MIN % -1 traps in hardware; the evaluator answers 0, the exact
+// value. int64 arithmetic wraps instead of overflowing (clean under UBSan).
+TEST(SqlEndToEnd, Int64EdgeArithmeticDoesNotTrap) {
+  sql::Database db = ExampleDb();
+  ASSERT_OK_AND_ASSIGN(
+      Relation m,
+      db.Query("SELECT (-9223372036854775807 - 1) % -1 AS m FROM u"));
+  ASSERT_EQ(m.num_rows(), 3);
+  for (int64_t i = 0; i < 3; ++i) EXPECT_EQ(std::get<int64_t>(m.Get(i, 0)), 0);
+  ASSERT_OK_AND_ASSIGN(
+      Relation w,
+      db.Query("SELECT (-9223372036854775807 - 1) - 1 AS w FROM u"));
+  ASSERT_EQ(w.num_rows(), 3);
+  EXPECT_EQ(std::get<int64_t>(w.Get(0, 0)), int64_t{9223372036854775807});
+  ASSERT_OK_AND_ASSIGN(Relation z,
+                       db.Query("SELECT YoB % 0 AS a, YoB / 0 AS b FROM u"));
+  EXPECT_EQ(std::get<int64_t>(z.Get(0, 0)), 0);
+  EXPECT_EQ(std::get<double>(z.Get(0, 1)), 0.0);
+}
+
+// A SELECT binds only the columns it names; what it returns and which
+// errors it reports do not change.
+TEST(SqlEndToEnd, ColumnPruningKeepsResultsAndErrors) {
+  sql::Database db = ExampleDb();
+  // State is on both sides of the self-join: still ambiguous.
+  const auto ambiguous =
+      db.Query("SELECT State FROM u JOIN u AS w ON u.User = w.User");
+  EXPECT_STATUS(kKeyError, ambiguous);
+  EXPECT_NE(ambiguous.status().message().find("ambiguous"), std::string::npos);
+  const auto unknown = db.Query("SELECT u.nope FROM u WHERE YoB > 0");
+  EXPECT_STATUS(kKeyError, unknown);
+  EXPECT_NE(unknown.status().message().find("unknown column: u.nope"),
+            std::string::npos);
+  // No column named at all: the row count survives.
+  ASSERT_OK_AND_ASSIGN(Relation n, db.Query("SELECT COUNT(*) AS n FROM u"));
+  EXPECT_EQ(std::get<int64_t>(n.Get(0, 0)), 3);
+  ASSERT_OK_AND_ASSIGN(Relation one, db.Query("SELECT 1 AS one FROM u"));
+  EXPECT_EQ(one.num_rows(), 3);
+  ASSERT_OK_AND_ASSIGN(
+      Relation joined_count,
+      db.Query("SELECT COUNT(*) AS n FROM u JOIN rating "
+               "ON u.User = rating.User"));
+  EXPECT_EQ(std::get<int64_t>(joined_count.Get(0, 0)), 3);
+  // SELECT * keeps every column, duplicate names suffixed as before.
+  ASSERT_OK_AND_ASSIGN(
+      Relation star,
+      db.Query("SELECT * FROM u JOIN u AS w ON u.User = w.User"));
+  EXPECT_EQ(star.schema().Names(),
+            (std::vector<std::string>{"User", "State", "YoB", "User_2",
+                                      "State_2", "YoB_2"}));
+  // A column named only in ON, WHERE or ORDER BY is still bound.
+  ASSERT_OK_AND_ASSIGN(
+      Relation filtered,
+      db.Query("SELECT w.User FROM u JOIN u AS w ON u.YoB = w.YoB "
+               "WHERE u.State = 'CA' ORDER BY User"));
+  ASSERT_EQ(filtered.num_rows(), 2);
+  EXPECT_EQ(ValueToString(filtered.Get(0, 0)), "Ann");
+  // Matrix-operation arguments keep their columns: the matrix is all of
+  // them, whatever the outer SELECT names.
+  ASSERT_OK_AND_ASSIGN(Relation all,
+                       db.Query("SELECT * FROM INV(rating BY User)"));
+  ASSERT_OK_AND_ASSIGN(Relation heat,
+                       db.Query("SELECT Heat FROM INV(rating BY User)"));
+  ASSERT_EQ(heat.num_rows(), 3);
+  for (int64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(ValueToDouble(heat.Get(i, 0)), ValueToDouble(all.Get(i, 2)));
+  }
+  // A subquery prunes its own FROM clause.
+  ASSERT_OK_AND_ASSIGN(
+      Relation sub,
+      db.Query("SELECT n FROM (SELECT State, COUNT(*) AS n FROM u "
+               "GROUP BY State) AS g ORDER BY n"));
+  ASSERT_EQ(sub.num_rows(), 2);
+  EXPECT_EQ(std::get<int64_t>(sub.Get(1, 0)), 2);
+}
+
 }  // namespace
 }  // namespace rma
