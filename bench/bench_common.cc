@@ -1,6 +1,9 @@
 #include "bench_common.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
@@ -8,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/calibration.h"
 #include "matrix/simd.h"
 
 namespace rma::bench {
@@ -46,8 +48,33 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+/// L2/L3 data-cache sizes in bytes, from sysconf where the platform exposes
+/// them, with 1 MiB / 8 MiB fallbacks so both bounds always exist.
+struct CacheSizes {
+  int64_t l2_bytes;
+  int64_t l3_bytes;
+};
+
+CacheSizes DetectCacheSizes() {
+  CacheSizes sizes;
+  sizes.l2_bytes = int64_t{1} << 20;
+  sizes.l3_bytes = int64_t{8} << 20;
+#if defined(_SC_LEVEL2_CACHE_SIZE)
+  if (const long l2 = sysconf(_SC_LEVEL2_CACHE_SIZE); l2 > 0) {
+    sizes.l2_bytes = l2;
+  }
+#endif
+#if defined(_SC_LEVEL3_CACHE_SIZE)
+  if (const long l3 = sysconf(_SC_LEVEL3_CACHE_SIZE); l3 > 0) {
+    sizes.l3_bytes = l3;
+  }
+#endif
+  if (sizes.l3_bytes <= sizes.l2_bytes) sizes.l3_bytes = 8 * sizes.l2_bytes;
+  return sizes;
+}
+
 /// Cache regime of an entry touching `bytes` bytes, against the machine's
-/// detected L2/L3 sizes — same split the calibration breakpoints use.
+/// detected L2/L3 sizes.
 const char* RegimeOfBytes(int64_t bytes) {
   if (bytes <= 0) return "";
   static const CacheSizes caches = DetectCacheSizes();

@@ -52,7 +52,7 @@ std::string Pct(double fraction);
 /// std::thread::hardware_concurrency(), so a baseline diff can flag
 /// apples-to-oranges comparisons. `regime` classifies each entry's touched
 /// bytes against the machine's L2/L3 sizes ("l2"/"l3"/"dram"; "" when bytes
-/// is unknown), mirroring the calibration regimes.
+/// is unknown), so entries that cross a cache level are easy to spot.
 ///
 /// `scripts/bench_compare.py` diffs two such files with a noise threshold;
 /// `bench/baselines/*.json` holds the checked-in references.

@@ -14,7 +14,7 @@
 # ThreadSanitizer pass (sharded operations, batched statement execution,
 # and the shared query cache are race-checked, including the concurrency
 # stress test), and a UBSan pass (the SIMD layer's tail-pointer
-# arithmetic and the piecewise cost model) — the same matrix CI runs. The
+# arithmetic) — the same matrix CI runs. The
 # ASan and UBSan suites run twice: vectorized (default dispatch) and with
 # RMA_NO_SIMD=1, so both sides of every kernel stay sanitizer-covered.
 #

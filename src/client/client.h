@@ -54,10 +54,8 @@ class Client {
   bool connected() const { return sock_.valid(); }
   uint64_t session_id() const { return session_id_; }
 
-  /// Sets one session option (e.g. "kernel" = "bat", "max_threads" = "2",
-  /// "calibration_path" = "profile.json" — a bare file name resolved inside
-  /// the server's configured calibration directory, refused otherwise); see
-  /// docs/OPERATIONS.md for the key set. Errors leave the session's
+  /// Sets one session option (e.g. "kernel" = "bat", "max_threads" = "2");
+  /// see docs/OPERATIONS.md for the key set. Errors leave the session's
   /// options unchanged.
   Status SetOption(const std::string& key, const std::string& value);
 

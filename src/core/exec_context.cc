@@ -99,13 +99,7 @@ ExecContext::ExecContext(const RmaOptions& opts,
                          std::shared_ptr<QueryCache> cache)
     : opts_(opts),
       cache_(cache != nullptr ? std::move(cache)
-                              : std::make_shared<QueryCache>()) {
-  // Pin the cost profile once: every downstream resolution (PlanOp per op,
-  // RefineCostModel per commit, OptionsFingerprint per statement) then takes
-  // the explicit-profile fast path instead of re-walking the
-  // calibration_path memoization map under its global mutex.
-  opts_.cost_profile = ResolveCostProfile(opts_);
-}
+                              : std::make_shared<QueryCache>()) {}
 
 int ExecContext::effective_thread_budget() const {
   const int ambient = CurrentThreadBudget();
@@ -152,7 +146,6 @@ void ExecContext::EndOp(bool commit) {
     OpenOp op = std::move(*it);
     t_open_ops.erase(std::next(it).base());
     if (commit && op.has_plan) {
-      RefineCostModel(op.plan, op.stats);
       MutexLock lock(mu_);
       plans_.push_back(std::move(op.plan));
       op_stats_.push_back(op.stats);
@@ -164,26 +157,6 @@ void ExecContext::EndOp(bool commit) {
     }
     return;
   }
-}
-
-void ExecContext::RefineCostModel(const OpPlan& plan,
-                                  const RmaStats& stats) const {
-  if (!opts_.refine_cost_profile) return;
-  const CostProfilePtr profile = ResolveCostProfile(opts_);
-  if (!profile->refinable()) return;
-  if (plan.kernel == KernelChoice::kBat) {
-    profile->Refine(BatCostFamily(plan.op), plan.bat_elements,
-                    stats.compute_seconds);
-  } else {
-    profile->Refine(CostKernel::kDenseFlop, plan.flops, stats.compute_seconds);
-  }
-  profile->Refine(CostKernel::kGather, plan.gather_elements,
-                  stats.transform_in_seconds);
-  profile->Refine(CostKernel::kScatter, plan.scatter_elements,
-                  stats.transform_out_seconds);
-  // A cached prepare records zero sort seconds; Refine ignores it (a reused
-  // permutation says nothing about sort throughput).
-  profile->Refine(CostKernel::kSort, plan.sort_elements, stats.sort_seconds);
 }
 
 void ExecContext::RecordPlanCache(bool hit) {

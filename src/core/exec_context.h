@@ -154,9 +154,7 @@ class ExecContext {
   /// Brackets one relational matrix operation for the per-op stats log
   /// (EXPLAIN ANALYZE). Stages recorded between BeginOp and EndOp accrue to
   /// the op entry; EndOp(true) publishes {plan, stats} to plans()/op_stats()
-  /// as one aligned pair and feeds the measured stage times back into the
-  /// resolved cost profile (EWMA refinement; no-op for the non-refinable
-  /// analytic default). EndOp(false) — the op failed — drops the entry and
+  /// as one aligned pair. EndOp(false) — the op failed — drops the entry and
   /// evicts every prepared-argument key the op stored from the shared cache,
   /// so a statement that fails mid-prepare leaves no entry behind
   /// (evict-on-error).
@@ -218,12 +216,6 @@ class ExecContext {
   /// Options-dependent key suffix: a prepared argument computed without key
   /// validation must not be served to a context that requires it.
   std::string KeySuffix() const;
-
-  /// Folds one committed op's measured stage seconds into the cost profile
-  /// the options resolve to (core/calibration.h). Uses the element counts
-  /// the planner recorded on the OpPlan; runs outside mu_ (the profile has
-  /// its own mutex).
-  void RefineCostModel(const OpPlan& plan, const RmaStats& stats) const;
 
   void CountPrepared(bool hit);
   void CountEvictions(int64_t n);

@@ -85,8 +85,8 @@ void ClampShards(const ExecContext& ctx, OpPlan* plan);
 /// split thread budget, then the plan's merge stage — ordered concatenation
 /// for element-wise ops, pairwise tree-reduction of per-shard partials for
 /// cross products. Records summed per-shard stage seconds (CPU-time
-/// semantics, which the cost-model refinement expects), per-shard wall times
-/// via ExecContext::RecordShardTimes, and the merge under Stage::kMerge.
+/// semantics), per-shard wall times via ExecContext::RecordShardTimes, and
+/// the merge under Stage::kMerge.
 /// Falls back to DispatchBinary if an input unexpectedly lacks contiguous
 /// double storage.
 Result<std::vector<BatPtr>> DispatchShardedBinary(ExecContext& ctx,

@@ -2,15 +2,11 @@
 #define RMA_CORE_OPTIONS_H_
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "util/result.h"
 
 namespace rma {
-
-class CostProfile;
 
 /// Where the base result of a relational matrix operation is computed
 /// (Sec. 7.3).
@@ -108,7 +104,7 @@ struct RmaOptions {
   int max_threads = 0;
 
   /// Upper bound on row-range shards per operation (>= 1). The planner picks
-  /// the actual count from calibrated per-shard costs, capped by this, the
+  /// the actual count from modeled per-shard costs, capped by this, the
   /// effective thread budget, and `shard_min_rows`; 1 disables sharding.
   /// 0 is rejected by ValidateRmaOptions — "no shards" is not a meaningful
   /// request and silently treating it as 1 has masked config typos.
@@ -123,21 +119,6 @@ struct RmaOptions {
   /// of re-sorting. Covers e.g. the covariance pipeline tra+mmu and the OLS
   /// workloads.
   bool enable_prepared_cache = true;
-
-  /// Cost profile pricing the planner's kernel families (core/calibration.h).
-  /// Null resolves through `calibration_path`, then the process default
-  /// (env RMA_CALIBRATION, else the analytic constants). Shared so the
-  /// execution feedback loop can refine the same profile the planner reads.
-  std::shared_ptr<CostProfile> cost_profile;
-
-  /// Calibration JSON file consulted when `cost_profile` is null: loaded if
-  /// readable, otherwise probed once and saved there (memoized per path).
-  std::string calibration_path;
-
-  /// Feed measured per-op stage times (RmaStats) back into the resolved
-  /// cost profile (EWMA refinement). Only refinable profiles (probed or
-  /// loaded — never the shared analytic default) accept updates.
-  bool refine_cost_profile = true;
 
   /// Optional timing sink (not owned). Writes are serialized per
   /// ExecContext; don't point two concurrently executing contexts at one

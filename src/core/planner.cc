@@ -18,18 +18,42 @@ namespace {
 
 // --- cost model -------------------------------------------------------------
 //
-// Element counts are priced through a CostProfile (core/calibration.h): each
-// kernel family carries a per-element rate plus a fixed overhead. The
-// default (analytic) profile uses dimensionless element-operation units —
-// one unit is one streamed read-modify-write over a contiguous double, and
-// only the ratio between the column-at-a-time (BAT) path and the
-// gather/kernel/scatter (contiguous) path matters. Its penalties encode
-// what Sec. 7.3 and Fig. 17 measure: element-wise BAT operations run at
-// streaming speed (and skip zeros on compressed columns), axpy-based
+// Element counts are priced at fixed per-element rates in dimensionless
+// element-operation units: one unit is one streamed read-modify-write over a
+// contiguous double, and only the ratio between the column-at-a-time (BAT)
+// path and the gather/kernel/scatter (contiguous) path matters. The rates
+// encode what Sec. 7.3 and Fig. 17 measure: element-wise BAT operations run
+// at streaming speed (and skip zeros on compressed columns), axpy-based
 // kernels are close to dense speed, column-at-a-time decompositions lose
 // locality, and cpd degrades to element-at-a-time BUNfetch calls — the
-// 24-70x delegation win. Probed/refined profiles replace the constants with
-// measured seconds for this machine.
+// 24-70x delegation win. The rates are constants, not measured: a plan then
+// depends only on shapes and options, so it is the same on every machine
+// and run, and nothing execution does can change a cached plan's key.
+
+/// Rate of the contiguous path's work: dense kernel flops and the gather and
+/// scatter copies.
+constexpr double kContiguousRate = 1.0;
+/// Rate of element-wise streaming over BAT columns (add/sub/emu); also
+/// prices the tree-reduce merge of sharded cross products.
+constexpr double kStreamRate = 1.0;
+
+/// Rate of `op`'s column-at-a-time kernel.
+double BatRate(MatrixOp op) {
+  switch (op) {
+    case MatrixOp::kAdd:
+    case MatrixOp::kSub:
+    case MatrixOp::kEmu:
+      return kStreamRate;
+    case MatrixOp::kMmu:
+      return 1.5;  // vectorized axpy column combines
+    case MatrixOp::kTra:
+      return 4.0;  // element-at-a-time scatter
+    case MatrixOp::kCpd:
+      return 12.0;  // per-element virtual BUNfetch
+    default:
+      return 3.0;  // column-at-a-time decompositions
+  }
+}
 
 double Flops(MatrixOp op, const ArgShape& a, const ArgShape* b) {
   const double n = static_cast<double>(a.rows);
@@ -80,7 +104,7 @@ std::vector<Stage> StagesFor(KernelChoice kernel) {
 }
 
 // Element-equivalent price of launching one shard: a pool dispatch, a budget
-// install, and the cold start of a worker's cache working set. Calibrated
+// install, and the cold start of a worker's cache working set. Tuned
 // loosely — it only needs to keep shard counts away from shapes where a
 // task costs more than its slice of the kernel.
 constexpr double kShardForkElements = 32768.0;
@@ -92,14 +116,12 @@ constexpr double kShardForkElements = 32768.0;
 ///     (ordered concat of disjoint row ranges; bit-exact),
 ///   - cross products on the dense/SYRK kernels (per-shard partial Gram
 ///     matrices summed pairwise; associative up to FP rounding).
-/// The count is chosen from calibrated per-shard costs: candidate s halves
-/// the per-shard element count, which a piecewise profile prices in the
-/// cache regime that work actually fits in, plus per-shard fork overhead and
-/// the O(cols^2 log s) tree-reduce. Sharding must beat the unsharded estimate
-/// by a margin or the plan stays at shards=1.
+/// The count is chosen from modeled per-shard costs: candidate s divides the
+/// chosen path's work by s and adds per-shard fork overhead and the
+/// O(cols^2 log s) tree-reduce. Sharding must beat the unsharded estimate by
+/// a margin or the plan stays at shards=1.
 void DecideShards(const OpInfo& info, const RmaOptions& opts,
-                  const ArgShape& left, const ArgShape* right,
-                  const CostProfile& profile, OpPlan* plan) {
+                  const ArgShape& left, const ArgShape* right, OpPlan* plan) {
   MergeKind merge = MergeKind::kNone;
   if (info.union_compatible && right != nullptr && left.contiguous &&
       right->contiguous && left.density >= 1.0 && right->density >= 1.0) {
@@ -120,28 +142,24 @@ void DecideShards(const OpInfo& info, const RmaOptions& opts,
   if (cap < 2) return;
 
   const bool on_bat = plan->kernel == KernelChoice::kBat;
-  const CostKernel family =
-      on_bat ? BatCostFamily(plan->op) : CostKernel::kDenseFlop;
+  const double rate = on_bat ? BatRate(plan->op) : kContiguousRate;
   // Chosen-path work; the dense path also splits its gather across shards.
   const double elements = on_bat ? plan->bat_elements : plan->flops;
   const double gather = on_bat ? 0.0 : plan->gather_elements;
   const double out_cols = static_cast<double>(
       merge == MergeKind::kTreeReduce ? left.cols * left.cols : 0);
 
-  const double unsharded = profile.Cost(family, elements) +
-                           profile.Cost(CostKernel::kGather, gather);
+  const double unsharded = rate * elements + kContiguousRate * gather;
   double best_cost = unsharded;
   int best_s = 1;
   for (int s = 2; s <= cap; s *= 2) {
     const double ds = static_cast<double>(s);
     // Shards run concurrently: the modeled wall time is one shard's chain
     // plus the serial merge and the fork overhead of launching s tasks.
-    double cost = profile.Cost(family, elements / ds) +
-                  profile.Cost(CostKernel::kGather, gather / ds) +
-                  ds * profile.Cost(family, kShardForkElements);
+    double cost = rate * (elements / ds) + kContiguousRate * (gather / ds) +
+                  ds * (rate * kShardForkElements);
     if (merge == MergeKind::kTreeReduce) {
-      cost += profile.Cost(CostKernel::kBatStream,
-                           std::log2(ds) * out_cols);
+      cost += kStreamRate * (std::log2(ds) * out_cols);
     }
     if (cost < best_cost) {
       best_cost = cost;
@@ -158,23 +176,6 @@ void DecideShards(const OpInfo& info, const RmaOptions& opts,
 }
 
 }  // namespace
-
-CostKernel BatCostFamily(MatrixOp op) {
-  switch (op) {
-    case MatrixOp::kAdd:
-    case MatrixOp::kSub:
-    case MatrixOp::kEmu:
-      return CostKernel::kBatStream;
-    case MatrixOp::kMmu:
-      return CostKernel::kBatAxpy;
-    case MatrixOp::kTra:
-      return CostKernel::kBatTranspose;
-    case MatrixOp::kCpd:
-      return CostKernel::kBatFetch;
-    default:
-      return CostKernel::kBatDecomp;
-  }
-}
 
 const char* StageName(Stage s) {
   switch (s) {
@@ -226,9 +227,7 @@ std::string OpPlan::DebugString() const {
     if (i > 0) os << ' ';
     os << StageName(stages[i]);
   }
-  os << "] cost(bat)=" << cost_bat << " cost(dense)=" << cost_dense
-     << " cost-model=" << CostSourceName(cost_source);
-  if (!cost_regime.empty()) os << " regime=" << cost_regime;
+  os << "] cost(bat)=" << cost_bat << " cost(dense)=" << cost_dense;
   if (shards > 1) os << " shards=" << shards << " merge=" << MergeKindName(merge);
   if (over_budget) os << " over-budget";
   return os.str();
@@ -244,7 +243,6 @@ OpPlan PlanOp(MatrixOp op, const RmaOptions& opts, const ArgShape& left,
 
   const double flops = Flops(op, left, right);
   const ArgShape out = ResultShape(info, left, right);
-  const CostProfilePtr profile = ResolveCostProfile(opts);
 
   // Contiguous path: gather each argument, run the dense kernel, scatter the
   // base result. A self cross product gathers only once and halves the
@@ -258,13 +256,8 @@ OpPlan PlanOp(MatrixOp op, const RmaOptions& opts, const ArgShape& left,
       static_cast<double>(out.rows) * static_cast<double>(out.cols);
   plan.flops = self_cross ? flops / 2.0 : flops;
   plan.gather_elements = gather;
-  plan.scatter_elements = scatter;
-  plan.sort_elements =
-      static_cast<double>(left.rows) +
-      (right != nullptr && !self_cross ? static_cast<double>(right->rows) : 0);
-  plan.cost_dense = profile->Cost(CostKernel::kGather, gather) +
-                    profile->Cost(CostKernel::kDenseFlop, plan.flops) +
-                    profile->Cost(CostKernel::kScatter, scatter);
+  plan.cost_dense = kContiguousRate * gather + kContiguousRate * plan.flops +
+                    kContiguousRate * scatter;
 
   // Column-at-a-time path: no transformation, but the kernel runs at its
   // family's (slower) rate. Element-wise operations stream only the stored
@@ -276,8 +269,7 @@ OpPlan PlanOp(MatrixOp op, const RmaOptions& opts, const ArgShape& left,
     bat_elements *= std::min(1.0, (left.density + d_right) / 2.0);
   }
   plan.bat_elements = bat_elements;
-  plan.cost_bat = profile->Cost(BatCostFamily(op), bat_elements);
-  plan.cost_source = profile->Source();
+  plan.cost_bat = BatRate(op) * bat_elements;
 
   const int64_t contiguous_bytes =
       left.ContiguousBytes() +
@@ -308,19 +300,7 @@ OpPlan PlanOp(MatrixOp op, const RmaOptions& opts, const ArgShape& left,
       break;
   }
   plan.stages = StagesFor(plan.kernel);
-  DecideShards(info, opts, left, right, *profile, &plan);
-
-  // Surface which cache regime priced the chosen path (piecewise profiles
-  // only; single-rate profiles leave this empty and EXPLAIN output
-  // unchanged).
-  const bool on_bat = plan.kernel == KernelChoice::kBat;
-  const KernelCost chosen =
-      profile->Get(on_bat ? BatCostFamily(op) : CostKernel::kDenseFlop);
-  if (chosen.NumRegimes() > 1) {
-    const double elements = on_bat ? plan.bat_elements : plan.flops;
-    plan.cost_regime =
-        CostRegimeLabel(chosen.RegimeOf(elements), chosen.NumRegimes());
-  }
+  DecideShards(info, opts, left, right, &plan);
   return plan;
 }
 

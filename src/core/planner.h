@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "core/calibration.h"
 #include "core/options.h"
 #include "core/ops.h"
 #include "storage/relation.h"
@@ -54,13 +53,6 @@ enum class KernelChoice : int {
 
 const char* KernelChoiceName(KernelChoice k);
 
-/// The cost-profile family pricing an op's column-at-a-time kernel
-/// (core/calibration.h): streaming for element-wise ops, axpy for mmu,
-/// element-at-a-time scatter for tra, BUNfetch for cpd, decomposition
-/// otherwise. Shared by the planner (pricing) and the execution feedback
-/// loop (refinement).
-CostKernel BatCostFamily(MatrixOp op);
-
 /// Shape summary of one prepared argument, the planner's input.
 struct ArgShape {
   int64_t rows = 0;
@@ -91,29 +83,17 @@ struct OpPlan {
   bool over_budget = false;  ///< contiguous copy exceeded the memory ceiling
 
   /// Row-range shard count (1 = unsharded) and the merge contract for
-  /// combining per-shard results. Chosen from calibrated per-shard costs:
-  /// shard only when splitting drops the per-shard work into a cheaper cache
-  /// regime and the win beats per-shard fork overhead plus the merge cost.
+  /// combining per-shard results. Chosen from the modeled per-shard costs:
+  /// shard only when the split work plus per-shard fork overhead and the
+  /// merge cost clearly beats the unsharded estimate.
   int shards = 1;
   MergeKind merge = MergeKind::kNone;
 
-  /// Which cost model priced this op (analytic constants, startup probes,
-  /// or stats-refined) — surfaced by EXPLAIN.
-  CostSource cost_source = CostSource::kAnalytic;
-
-  /// Cache regime (CostRegimeLabel) the chosen path's kernel family priced
-  /// its work in. Empty when the profile is single-rate — EXPLAIN omits it
-  /// so analytic-model output is unchanged.
-  std::string cost_regime;
-
-  /// Element counts behind the estimates, per priced family. Recorded at
-  /// plan time so ExecContext can feed measured per-stage seconds back into
-  /// the cost profile (seconds / elements = observed per-element rate).
-  double flops = 0;             ///< dense kernel work (SYRK-halved)
-  double bat_elements = 0;      ///< density-scaled column-at-a-time work
-  double gather_elements = 0;   ///< BATs -> contiguous copy size
-  double scatter_elements = 0;  ///< result -> BATs copy size
-  double sort_elements = 0;     ///< rows sorted across both arguments
+  /// Element counts behind the estimates, recorded at plan time so the
+  /// shard decision can price the chosen path's work per shard.
+  double flops = 0;            ///< dense kernel work (SYRK-halved)
+  double bat_elements = 0;     ///< density-scaled column-at-a-time work
+  double gather_elements = 0;  ///< BATs -> contiguous copy size
 
   ArgShape left;
   ArgShape right;  ///< zeroed for unary operations

@@ -5,8 +5,6 @@
 #include <chrono>
 #include <utility>
 
-#include "core/calibration.h"
-
 namespace rma {
 
 namespace {
@@ -135,11 +133,7 @@ uint64_t QueryCache::OptionsFingerprint(const RmaOptions& opts) {
   h = HashMix(h, static_cast<uint64_t>(opts.max_shards));
   h = HashMix(h, static_cast<uint64_t>(opts.shard_min_rows));
   h = HashMix(h, static_cast<uint64_t>(opts.max_threads));
-  h = HashMix(h, opts.rewrites.enabled ? 1 : 0);
-  // The cost profile prices kernel choices, so it is plan content. The
-  // profile fingerprint quantizes per-element rates: EWMA jitter keeps
-  // cached plans valid, a materially shifted profile invalidates them.
-  return HashMix(h, ResolveCostProfile(opts)->Fingerprint());
+  return HashMix(h, opts.rewrites.enabled ? 1 : 0);
 }
 
 QueryCache::StatementPlanPtr QueryCache::LookupPlan(

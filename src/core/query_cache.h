@@ -107,10 +107,9 @@ class QueryCache {
   /// `EXPLAIN ANALYZE SELECT …` share one plan).
   static std::string NormalizeStatement(const std::string& sql);
 
-  /// Fingerprint of every RmaOptions field that affects plan content.
-  /// A changed kernel/sort policy, rewrite toggle, or (materially shifted)
-  /// cost profile must miss — calibration changes kernel choices, so cached
-  /// plans priced under the old profile cannot be served.
+  /// Fingerprint of every RmaOptions field that affects plan content. A
+  /// changed kernel/sort policy, budget, shard limit or rewrite toggle must
+  /// miss, so a cached plan only serves callers that would plan it alike.
   static uint64_t OptionsFingerprint(const RmaOptions& opts);
 
   // --- statement plans -------------------------------------------------------

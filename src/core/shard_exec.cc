@@ -75,8 +75,8 @@ void RunShards(const std::vector<ShardSpec>& specs, const Fn& fn) {
 }
 
 /// Commits the joined shard timings from the bracket-owning thread: summed
-/// stage seconds (CPU-time semantics — the refinement loop divides them by
-/// total elements) plus the per-shard walls for EXPLAIN ANALYZE.
+/// stage seconds (CPU-time semantics) plus the per-shard walls for EXPLAIN
+/// ANALYZE.
 void RecordShardStages(ExecContext& ctx, Stage work_stage,
                        const std::vector<ShardTiming>& timings) {
   double gather = 0;

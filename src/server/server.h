@@ -42,14 +42,6 @@ struct ServerOptions {
   /// (half-sent frame, reader that stopped consuming its stream); a healthy
   /// drain finishes well inside it and never waits the full timeout.
   int drain_timeout_ms = 5000;
-  /// Directory the `calibration_path` session option may name files in.
-  /// Empty (the default) disables the option over the wire entirely: the
-  /// protocol is unauthenticated, so a network-supplied path must never
-  /// reach the filesystem outside an explicit operator-configured
-  /// allowlist. Values are bare file names resolved against this directory
-  /// and loaded read-only — the load-or-probe-and-save lifecycle of
-  /// in-process RmaOptions does not apply to sessions.
-  std::string calibration_dir;
 };
 
 /// Monitoring counters (Server::stats(); a consistent snapshot).

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
-#include "core/calibration.h"
 #include "matrix/parallel.h"
 #include "server/server.h"
 #include "sql/parser.h"
@@ -37,13 +37,22 @@ Result<int64_t> ParseInt(const std::string& v) {
   return static_cast<int64_t>(parsed);
 }
 
+/// Parses the value of an int-typed key. Values outside int are refused,
+/// not narrowed: 4294967297 must not quietly become 1.
+Result<int> ParseIntKey(const std::string& key, const std::string& v) {
+  RMA_ASSIGN_OR_RETURN(int64_t parsed, ParseInt(v));
+  if (parsed < std::numeric_limits<int>::min() ||
+      parsed > std::numeric_limits<int>::max()) {
+    return Status::Invalid(key + " is out of range, got '" + v + "'");
+  }
+  return static_cast<int>(parsed);
+}
+
 /// Applies one session option. The key set mirrors docs/OPERATIONS.md;
 /// unknown keys are errors (a typo silently ignored is a misconfigured
-/// session that looks configured). `calibration_dir` is the server's
-/// allowlist for the calibration_path key.
+/// session that looks configured).
 Status ApplyOption(RmaOptions* opts, const std::string& key,
-                   const std::string& value,
-                   const std::string& calibration_dir) {
+                   const std::string& value) {
   const std::string k = ToLower(key);
   if (k == "kernel") {
     const std::string v = ToLower(value);
@@ -79,18 +88,12 @@ Status ApplyOption(RmaOptions* opts, const std::string& key,
     RMA_ASSIGN_OR_RETURN(opts->enable_prepared_cache, ParseBool(value));
     return Status::OK();
   }
-  if (k == "refine_cost_profile") {
-    RMA_ASSIGN_OR_RETURN(opts->refine_cost_profile, ParseBool(value));
-    return Status::OK();
-  }
   if (k == "max_threads") {
-    RMA_ASSIGN_OR_RETURN(int64_t v, ParseInt(value));
-    opts->max_threads = static_cast<int>(v);
+    RMA_ASSIGN_OR_RETURN(opts->max_threads, ParseIntKey(key, value));
     return Status::OK();
   }
   if (k == "max_shards") {
-    RMA_ASSIGN_OR_RETURN(int64_t v, ParseInt(value));
-    opts->max_shards = static_cast<int>(v);
+    RMA_ASSIGN_OR_RETURN(opts->max_shards, ParseIntKey(key, value));
     return Status::OK();
   }
   if (k == "shard_min_rows") {
@@ -99,32 +102,6 @@ Status ApplyOption(RmaOptions* opts, const std::string& key,
   }
   if (k == "contiguous_budget_bytes") {
     RMA_ASSIGN_OR_RETURN(opts->contiguous_budget_bytes, ParseInt(value));
-    return Status::OK();
-  }
-  if (k == "calibration_path") {
-    // The protocol is unauthenticated, so a network-supplied path must not
-    // become a filesystem primitive: values are confined to the server's
-    // configured calibration directory (empty = option disabled) and the
-    // profile is loaded eagerly, read-only — never the in-process
-    // load-or-probe-and-save lifecycle, which would let a client make the
-    // server write to an arbitrary path.
-    if (calibration_dir.empty()) {
-      return Status::Invalid(
-          "calibration_path is disabled on this server "
-          "(no calibration directory configured)");
-    }
-    if (value.empty() || value.front() == '.' ||
-        value.find('/') != std::string::npos ||
-        value.find('\\') != std::string::npos) {
-      return Status::Invalid(
-          "calibration_path must be a plain file name inside the server's "
-          "calibration directory, got '" + value + "'");
-    }
-    RMA_ASSIGN_OR_RETURN(
-        CostProfile profile,
-        CostProfile::LoadFile(calibration_dir + "/" + value));
-    opts->cost_profile = std::make_shared<CostProfile>(std::move(profile));
-    opts->calibration_path.clear();
     return Status::OK();
   }
   return Status::Invalid("unknown session option: '" + key + "'");
@@ -260,8 +237,7 @@ Status Session::HandleSetOption(const std::string& payload) {
   if (!value.ok()) return value.status();
 
   RmaOptions updated = options_;
-  Status st = ApplyOption(&updated, *key, *value,
-                          server_->options().calibration_dir);
+  Status st = ApplyOption(&updated, *key, *value);
   if (st.ok()) st = ValidateRmaOptions(updated);
   if (!st.ok()) return SendError(st);  // options unchanged
   options_ = std::move(updated);

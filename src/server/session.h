@@ -20,9 +20,8 @@ class Server;
 ///
 /// A session owns:
 ///  - its RmaOptions, seeded from the database's options at accept time and
-///    mutated by SET_OPTION frames (including a per-session calibration
-///    profile via the `calibration_path` key) — one client forcing the
-///    scalar BAT kernels never changes another's plans;
+///    mutated by SET_OPTION frames — one client forcing the scalar BAT
+///    kernels never changes another's plans;
 ///  - a persistent ExecContext borrowing the database's QueryCache, so the
 ///    session's statements share plans and prepared arguments with every
 ///    other session while per-stage stats accumulate under this session's

@@ -99,8 +99,8 @@ class Database {
 
   /// Session-scoped execution: runs one statement on a caller-provided
   /// context instead of a fresh per-statement one. The context carries the
-  /// caller's options (a server session's per-session RmaOptions /
-  /// calibration profile) and should borrow this database's query cache
+  /// caller's options (a server session's per-session RmaOptions) and
+  /// should borrow this database's query cache
   /// (`ExecContext(opts, db.query_cache())`) so cached plans and prepared
   /// arguments are shared across sessions while stats accumulate per
   /// session. SELECT and CREATE TABLE AS consult the plan cache exactly as

@@ -9,7 +9,6 @@
 #include <unordered_set>
 
 #include "core/algebra.h"
-#include "core/calibration.h"
 #include "core/exec_context.h"
 #include "core/planner.h"
 #include "core/query_cache.h"
@@ -877,7 +876,6 @@ void AppendExecutionSection(const Database& db, const ExecContext& ctx,
     std::ostringstream os;
     os << "op " << i + 1 << ": " << GetOpInfo(plans[i].op).name
        << " kernel=" << KernelChoiceName(plans[i].kernel)
-       << " cost-model=" << CostSourceName(plans[i].cost_source)
        << " sort=" << FormatSecs(stats[i].sort_seconds)
        << " gather=" << FormatSecs(stats[i].transform_in_seconds)
        << " kernel=" << FormatSecs(stats[i].compute_seconds)
@@ -910,13 +908,7 @@ void AppendExecutionSection(const Database& db, const ExecContext& ctx,
   plan_line += " (catalog version " + std::to_string(db.catalog_version()) +
                ")";
   AppendIndented(plan_line, 1, lines);
-  const CostProfilePtr profile = ResolveCostProfile(ctx.options());
-  AppendIndented(std::string("cost profile: ") +
-                     CostSourceName(profile->Source()) +
-                     (profile->refinable() ? " (refining)" : "") +
-                     ", simd=" + simd::Describe() +
-                     ", regimes=" + std::to_string(profile->MaxRegimes()),
-                 1, lines);
+  AppendIndented("simd: " + simd::Describe(), 1, lines);
   const RmaStats& totals = ctx.totals();
   AppendIndented("prepared cache: " +
                      std::to_string(totals.prepared_cache_hits) + " hits, " +

@@ -8,15 +8,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include <fstream>
-
 #include "client/client.h"
-#include "core/calibration.h"
 #include "server/wire.h"
 #include "sql/database.h"
 #include "test_util.h"
@@ -228,6 +228,18 @@ TEST_F(ServerTest, SessionOptionsAreIsolated) {
   EXPECT_FALSE(a.SetOption("kernel", "gpu").ok());
   EXPECT_FALSE(a.SetOption("no_such_option", "1").ok());
   EXPECT_FALSE(a.SetOption("max_threads", "not_a_number").ok());
+  // Integers outside int are refused, not narrowed: 4294967297 would wrap
+  // to 1 (sharding silently off) and 4294967296 to 0 (hardware
+  // concurrency). The error quotes the value as sent.
+  EXPECT_FALSE(a.SetOption("max_shards", "4294967297").ok());
+  EXPECT_FALSE(a.SetOption("max_threads", "4294967297").ok());
+  EXPECT_FALSE(a.SetOption("max_threads", "4294967296").ok());
+  const Status wide = a.SetOption("max_shards", "2147483648");
+  EXPECT_TRUE(wide.IsInvalid()) << wide.ToString();
+  EXPECT_NE(wide.ToString().find("max_shards"), std::string::npos)
+      << wide.ToString();
+  EXPECT_NE(wide.ToString().find("'2147483648'"), std::string::npos)
+      << wide.ToString();
   ASSERT_OK_AND_ASSIGN(ExecResult still_ok,
                        a.Execute("SELECT * FROM weather;"));
   EXPECT_EQ(still_ok.rows, 4u);
@@ -238,11 +250,23 @@ TEST_F(ServerTest, RemovedSessionKeyIsRejectedByName) {
   Client c = Connect();
   // A key the session key set no longer holds is an option-level error
   // naming the key; the session lives on.
-  const std::string key = "concurrent_subtrees";
-  const Status refused = c.SetOption(key, "true");
-  EXPECT_TRUE(refused.IsInvalid()) << refused.ToString();
-  EXPECT_NE(refused.ToString().find(key), std::string::npos)
-      << refused.ToString();
+  const std::string profile = "rma_server_removed_key_profile.json";
+  const std::string profile_path = ::testing::TempDir() + "/" + profile;
+  std::remove(profile_path.c_str());
+  const std::pair<std::string, std::string> removed[] = {
+      {"concurrent_subtrees", "true"},
+      {"refine_cost_profile", "true"},
+      {"calibration_path", profile},
+  };
+  for (const auto& [key, value] : removed) {
+    const Status refused = c.SetOption(key, value);
+    EXPECT_TRUE(refused.IsInvalid()) << key << ": " << refused.ToString();
+    EXPECT_NE(refused.ToString().find(key), std::string::npos)
+        << refused.ToString();
+  }
+  // No key reaches the filesystem: the refused path names no file.
+  EXPECT_FALSE(std::ifstream(profile_path).good())
+      << "a refused option wrote " << profile_path;
   ASSERT_OK_AND_ASSIGN(ExecResult ok, c.Execute("SELECT * FROM weather;"));
   EXPECT_EQ(ok.rows, 4u);
 }
@@ -421,44 +445,6 @@ TEST_F(ServerTest, FinishedSessionThreadsAreReaped) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_LE(tracked, 3) << "finished session threads accumulate";
-}
-
-TEST_F(ServerTest, CalibrationPathRefusedWithoutConfiguredDir) {
-  StartServer();
-  Client c = Connect();
-  EXPECT_FALSE(c.SetOption("calibration_path", "profile.json").ok());
-  // The refusal is an option-level error; the session lives on.
-  ASSERT_OK_AND_ASSIGN(ExecResult ok, c.Execute("SELECT * FROM weather;"));
-  EXPECT_EQ(ok.rows, 4u);
-}
-
-TEST_F(ServerTest, CalibrationPathConfinedToConfiguredDir) {
-  ServerOptions opts;
-  opts.calibration_dir = ::testing::TempDir();
-  StartServer(opts);
-  const std::string name = "rma_server_session_profile.json";
-  ASSERT_OK(CostProfile::Analytic().SaveFile(opts.calibration_dir + "/" +
-                                             name));
-  Client c = Connect();
-  ASSERT_OK(c.SetOption("calibration_path", name));
-  ASSERT_OK_AND_ASSIGN(ExecResult ok, c.Execute("SELECT * FROM m;"));
-  EXPECT_EQ(ok.rows, 600u);
-
-  // Anything but a bare file name inside the allowlist is refused: path
-  // separators, traversal, hidden files, absolute paths.
-  EXPECT_FALSE(c.SetOption("calibration_path", "../" + name).ok());
-  EXPECT_FALSE(c.SetOption("calibration_path", "/etc/hostname").ok());
-  EXPECT_FALSE(c.SetOption("calibration_path", "sub/" + name).ok());
-  EXPECT_FALSE(c.SetOption("calibration_path", ".hidden.json").ok());
-  EXPECT_FALSE(c.SetOption("calibration_path", "").ok());
-
-  // A missing profile is an error, never a server-side probe-and-save —
-  // the in-process LoadOrProbe lifecycle would have written this file.
-  const std::string missing = "rma_server_no_such_profile.json";
-  EXPECT_FALSE(c.SetOption("calibration_path", missing).ok());
-  std::ifstream probe(opts.calibration_dir + "/" + missing);
-  EXPECT_FALSE(probe.good())
-      << "refused calibration_path still wrote a probe profile";
 }
 
 TEST_F(ServerTest, GracefulShutdownDrainsInFlightStatements) {

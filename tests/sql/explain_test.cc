@@ -1,10 +1,9 @@
 // EXPLAIN: the SQL surface of the physical planner.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 
-#include "core/calibration.h"
+#include "matrix/simd.h"
 #include "sql/database.h"
 #include "test_util.h"
 
@@ -104,42 +103,17 @@ TEST(ExplainTest, AnalyzeCreateTableAsExecutesAndRegisters) {
   EXPECT_TRUE(db.Has("q"));  // ANALYZE executes, side effects included
 }
 
-// --- cost-profile attribution ------------------------------------------------
+// --- kernel-build attribution ------------------------------------------------
 
-TEST(ExplainTest, CostProfileLineNamesSimdIsaAndRegimeCount) {
-  // EXPLAIN ANALYZE's cost-profile line attributes the run to the kernel
-  // build: the active vector ISA and the profile's regime count, so a plan
-  // pasted into an issue pins down what produced its numbers.
+TEST(ExplainTest, AnalyzeNamesTheSimdIsa) {
+  // EXPLAIN ANALYZE names the active vector ISA, so a pasted plan pins down
+  // the kernel build that produced its numbers.
   Database db = MakeDb();
-  auto analytic = db.Execute(
-      "EXPLAIN ANALYZE SELECT * FROM QQR(weather BY T)");
-  ASSERT_TRUE(analytic.ok()) << analytic.status().ToString();
-  const std::string text = PlanText(*analytic);
-  EXPECT_NE(text.find("cost profile:"), std::string::npos) << text;
-  EXPECT_NE(text.find("simd="), std::string::npos) << text;
-  EXPECT_NE(text.find("regimes=1"), std::string::npos) << text;
-}
-
-TEST(ExplainTest, PiecewiseProfileShowsTheChosenRegime) {
-  // With a piecewise profile the planner records which cache regime priced
-  // the op; single-rate profiles omit the annotation entirely.
-  Database db = MakeDb();
-  auto flat = db.Execute("EXPLAIN SELECT * FROM QQR(weather BY T)");
-  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
-  EXPECT_EQ(PlanText(*flat).find("regime="), std::string::npos);
-
-  auto profile = std::make_shared<CostProfile>(CostProfile::Analytic());
-  KernelCost piecewise = profile->Get(CostKernel::kDenseFlop);
-  piecewise.breakpoints = {1 << 10, 1 << 16};
-  piecewise.rates = {piecewise.per_element, piecewise.per_element * 2,
-                     piecewise.per_element * 8};
-  profile->Set(CostKernel::kDenseFlop, piecewise);
-  db.rma_options.cost_profile = profile;
-  auto priced = db.Execute("EXPLAIN SELECT * FROM QQR(weather BY T)");
-  ASSERT_TRUE(priced.ok()) << priced.status().ToString();
-  const std::string text = PlanText(*priced);
-  // 4-row weather: the flops land in the first (L2) regime.
-  EXPECT_NE(text.find("regime=l2"), std::string::npos) << text;
+  auto analyzed = db.Execute("EXPLAIN ANALYZE SELECT * FROM QQR(weather BY T)");
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  const std::string text = PlanText(*analyzed);
+  EXPECT_NE(text.find("simd: " + simd::Describe() + "\n"), std::string::npos)
+      << text;
 }
 
 // --- EXPLAIN ANALYZE + the database-level query cache -----------------------

@@ -7,11 +7,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/exec_context.h"
+#include "core/query_cache.h"
 #include "core/rma.h"
 #include "rel/operators.h"
 #include "sql/database.h"
@@ -374,6 +376,45 @@ TEST(Database, PagedVsMallocBitIdenticalUnderEviction) {
   const BufferPoolStats stats = db.paged_store()->pool()->stats();
   EXPECT_GT(stats.evictions, 0) << "pool never evicted; shrink pool_bytes";
   EXPECT_GT(stats.misses, 0);
+}
+
+/// Repeated statements over a paged database under eviction keep their cache
+/// hits: after the first run every statement is served from the plan cache
+/// and every argument from the prepared cache. Nothing execution does may
+/// move a plan key; rma_e2e's paged_cov_add relies on these hit ratios.
+TEST(Database, PagedRepeatedStatementsHitPlanAndPreparedCaches) {
+  const std::string dir = TempDir();
+  const Relation r = workload::ManyOrderColumnsRelation(20000, 3, 7, 11, "r");
+  ASSERT_OK_AND_ASSIGN(const Relation s,
+                       rel::RenameAll(r, {"p0", "p1", "p2", "val"}));
+  // Budget ~half of one table so the statements must evict.
+  PagedStoreOptions opts;
+  opts.pool_bytes = r.ByteSize() / 2;
+  opts.page_bytes = 16 * 1024;
+  ASSERT_OK_AND_ASSIGN(sql::Database db, sql::Database::Open(dir, opts));
+  ASSERT_OK(db.Register("r", r));
+  ASSERT_OK(db.Register("s", s));
+  const std::vector<std::string> statements = {
+      "SELECT * FROM ADD(r BY (o0, o1, o2), s BY (p0, p1, p2))",
+      "SELECT * FROM CPD(r BY (o0, o1, o2), s BY (p0, p1, p2))"};
+  const std::shared_ptr<BufferPool>& pool = db.paged_store()->pool();
+  const int64_t evictions = pool->stats().evictions;
+  for (int run = 0; run < 4; ++run) {
+    for (const std::string& sql : statements) {
+      const QueryCache::Counters before = db.query_cache()->counters();
+      ASSERT_OK(db.Execute(sql).status());
+      const QueryCache::Counters after = db.query_cache()->counters();
+      if (run == 0) continue;
+      EXPECT_EQ(after.plan_hits - before.plan_hits, 1) << run << ": " << sql;
+      EXPECT_EQ(after.plan_misses, before.plan_misses) << run << ": " << sql;
+      EXPECT_EQ(after.prepared_hits - before.prepared_hits, 2)
+          << run << ": " << sql;
+      EXPECT_EQ(after.prepared_misses, before.prepared_misses)
+          << run << ": " << sql;
+    }
+  }
+  EXPECT_GT(pool->stats().evictions, evictions)
+      << "the statements never evicted; shrink pool_bytes";
 }
 
 /// The order-part memo holds malloc-backed columns only: over a paged

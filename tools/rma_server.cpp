@@ -108,10 +108,6 @@ int Usage(const char* argv0) {
       "before\n"
       "                     stalled connections are forcibly closed "
       "(default 5000)\n"
-      "  --calibration-dir D allow the calibration_path session option to "
-      "load\n"
-      "                     profiles (read-only) from directory D "
-      "(default: off)\n"
       "  --rows N           rows in the synthetic tables m and v "
       "(default 10000)\n"
       "  --cols N           application columns in m (default 4)\n"
@@ -155,8 +151,6 @@ int main(int argc, char** argv) {
       opts.row_batch_rows = std::atoll(argv[++i]);
     } else if (arg == "--drain-timeout" && has_next) {
       opts.drain_timeout_ms = std::atoi(argv[++i]);
-    } else if (arg == "--calibration-dir" && has_next) {
-      opts.calibration_dir = argv[++i];
     } else if (arg == "--rows" && has_next) {
       rows = std::atoll(argv[++i]);
     } else if (arg == "--cols" && has_next) {
