@@ -80,11 +80,9 @@ void RunPreparedCache(int64_t tuples, const std::vector<int>& order_cols) {
     shared.mutable_options().stats = &second;
     RmaUnary(&shared, MatrixOp::kRqr, r, order).ValueOrDie();
 
-    RmaOptions uncached;
-    uncached.enable_prepared_cache = false;
-    ExecContext cold(uncached);
-    cold.mutable_options().stats = nullptr;
-    RmaUnary(&cold, MatrixOp::kQqr, r, order).ValueOrDie();
+    // Without the cache: the second operation runs on a fresh context,
+    // whose private cache holds nothing from the first.
+    ExecContext cold{RmaOptions{}};
     RmaStats cold_second;
     cold.mutable_options().stats = &cold_second;
     RmaUnary(&cold, MatrixOp::kRqr, r, order).ValueOrDie();

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# End-to-end smoke of the server front-end: starts rma_server on an
-# ephemeral port, drives the Fig. 13 and Fig. 15 workloads through
+# End-to-end smoke of the server front-end: checks that rma_server refuses
+# a non-numeric or out-of-range flag value with its usage error, starts it
+# on an ephemeral port, drives the Fig. 13 and Fig. 15 workloads through
 # rma_client, asserts the streamed row counts and plan-cache reuse, checks
 # statement-level error isolation and that a statement which traps in
 # hardware (INT64_MIN % -1) answers without taking the server down, then
@@ -20,6 +21,27 @@ if [[ ! -x "${SERVER}" || ! -x "${CLIENT}" ]]; then
   echo "error: ${SERVER} / ${CLIENT} not built (cmake --build ${BUILD})" >&2
   exit 2
 fi
+
+echo "--- bad numeric flags ---"
+# A value the flag cannot hold is a usage error (exit 2), never narrowed or
+# read as 0: --port 65536 must not bind an ephemeral port, --rows abc must
+# not start with an empty table. The timeout turns a server that started
+# anyway into a failure instead of a hang.
+expect_usage_error() {
+  local out code
+  set +e
+  out="$(timeout 10 "${SERVER}" "$@" 2>&1)"
+  code=$?
+  set -e
+  if [[ "${code}" -ne 2 ]] || ! grep -q '^usage: ' <<<"${out}"; then
+    echo "FAIL: rma_server $* exited ${code}, want 2 with the usage text" >&2
+    echo "${out}" >&2
+    exit 1
+  fi
+  echo "rma_server $*: refused"
+}
+expect_usage_error --port 65536
+expect_usage_error --rows abc
 
 LOG="$(mktemp)"
 "${SERVER}" --port 0 --rows "${ROWS}" --cols 4 > "${LOG}" 2>&1 &

@@ -178,16 +178,6 @@ ExecContext::PlanCacheOutcome ExecContext::plan_cache_outcome() const {
   return plan_outcome_;
 }
 
-int64_t ExecContext::cache_hits() const {
-  MutexLock lock(mu_);
-  return cache_hits_;
-}
-
-int64_t ExecContext::cache_misses() const {
-  MutexLock lock(mu_);
-  return cache_misses_;
-}
-
 void ExecContext::CountPrepared(bool hit) {
   if (OpenOp* op = TopOpenOp(this)) {
     if (hit) {
@@ -198,11 +188,9 @@ void ExecContext::CountPrepared(bool hit) {
   }
   MutexLock lock(mu_);
   if (hit) {
-    ++cache_hits_;
     ++totals_.prepared_cache_hits;
     if (opts_.stats != nullptr) ++opts_.stats->prepared_cache_hits;
   } else {
-    ++cache_misses_;
     ++totals_.prepared_cache_misses;
     if (opts_.stats != nullptr) ++opts_.stats->prepared_cache_misses;
   }
@@ -243,9 +231,7 @@ std::string ExecContext::PreparedKey(const Relation& r,
   // (renames construct new relations); the relation name matters because the
   // cached PreparedArg's relation feeds result assembly (relation name,
   // det/rnk context value); the order schema and the sort-avoidance variant
-  // complete the key. validate_keys is part of the key because an entry
-  // prepared without validation must not satisfy a later lookup that
-  // expects the key check to have run (the cache outlives option changes).
+  // complete the key.
   std::ostringstream os;
   os << "sort:" << r.identity() << '|' << r.name() << '|';
   for (const auto& o : order) os << o << ';';
@@ -268,15 +254,10 @@ std::string ExecContext::AlignedKey(const Relation& s,
   return os.str();
 }
 
-std::string ExecContext::KeySuffix() const {
-  return opts_.validate_keys ? "|v1" : "|v0";
-}
-
 PreparedArgPtr ExecContext::LookupPrepared(
     const Relation& r, const std::vector<std::string>& order, bool avoid_sort) {
-  if (!opts_.enable_prepared_cache) return nullptr;
   PreparedArgPtr found =
-      cache_->LookupPrepared(PreparedKey(r, order, avoid_sort) + KeySuffix());
+      cache_->LookupPrepared(PreparedKey(r, order, avoid_sort));
   CountPrepared(found != nullptr);
   return found;
 }
@@ -292,17 +273,15 @@ void ExecContext::StoreByKey(std::string key, std::vector<uint64_t> relations,
 void ExecContext::StorePrepared(const Relation& r,
                                 const std::vector<std::string>& order,
                                 bool avoid_sort, PreparedArgPtr prepared) {
-  if (!opts_.enable_prepared_cache) return;
-  StoreByKey(PreparedKey(r, order, avoid_sort) + KeySuffix(), {r.identity()},
+  StoreByKey(PreparedKey(r, order, avoid_sort), {r.identity()},
              std::move(prepared));
 }
 
 PreparedArgPtr ExecContext::LookupAligned(
     const Relation& s, const std::vector<std::string>& order_s,
     const Relation& r, const std::vector<std::string>& order_r) {
-  if (!opts_.enable_prepared_cache) return nullptr;
-  PreparedArgPtr found = cache_->LookupPrepared(
-      AlignedKey(s, order_s, r, order_r) + KeySuffix());
+  PreparedArgPtr found =
+      cache_->LookupPrepared(AlignedKey(s, order_s, r, order_r));
   CountPrepared(found != nullptr);
   return found;
 }
@@ -312,9 +291,8 @@ void ExecContext::StoreAligned(const Relation& s,
                                const Relation& r,
                                const std::vector<std::string>& order_r,
                                PreparedArgPtr prepared) {
-  if (!opts_.enable_prepared_cache) return;
-  StoreByKey(AlignedKey(s, order_s, r, order_r) + KeySuffix(),
-             {s.identity(), r.identity()}, std::move(prepared));
+  StoreByKey(AlignedKey(s, order_s, r, order_r), {s.identity(), r.identity()},
+             std::move(prepared));
 }
 
 }  // namespace rma

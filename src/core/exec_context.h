@@ -199,11 +199,6 @@ class ExecContext {
                     const Relation& r, const std::vector<std::string>& order_r,
                     PreparedArgPtr prepared);
 
-  /// Per-context prepared-cache counters (cache-sharing contexts also
-  /// aggregate into the QueryCache's own counters).
-  int64_t cache_hits() const;
-  int64_t cache_misses() const;
-
  private:
   static std::string PreparedKey(const Relation& r,
                                  const std::vector<std::string>& order,
@@ -212,10 +207,6 @@ class ExecContext {
                                 const std::vector<std::string>& order_s,
                                 const Relation& r,
                                 const std::vector<std::string>& order_r);
-
-  /// Options-dependent key suffix: a prepared argument computed without key
-  /// validation must not be served to a context that requires it.
-  std::string KeySuffix() const;
 
   void CountPrepared(bool hit);
   void CountEvictions(int64_t n);
@@ -231,16 +222,14 @@ class ExecContext {
   std::string attribution_;
   std::shared_ptr<QueryCache> cache_;
 
-  /// Guards totals_, plans_, op_stats_, the cache counters, the plan-cache
-  /// outcome, and writes to the opts_.stats sink.
+  /// Guards totals_, plans_, op_stats_, the plan-cache outcome, and writes
+  /// to the opts_.stats sink.
   mutable Mutex mu_;
   RmaStats totals_ RMA_GUARDED_BY(mu_);
   std::vector<OpPlan> plans_ RMA_GUARDED_BY(mu_);
   std::vector<RmaStats> op_stats_ RMA_GUARDED_BY(mu_);
   PlanCacheOutcome plan_outcome_ RMA_GUARDED_BY(mu_) =
       PlanCacheOutcome::kNotConsulted;
-  int64_t cache_hits_ RMA_GUARDED_BY(mu_) = 0;
-  int64_t cache_misses_ RMA_GUARDED_BY(mu_) = 0;
 };
 
 /// RAII bracket for ExecContext::BeginOp/EndOp. Destruction without

@@ -87,11 +87,6 @@ struct RmaOptions {
   KernelPolicy kernel = KernelPolicy::kAuto;
   SortPolicy sort = SortPolicy::kAlways;
 
-  /// Verify that order schemas form keys (duplicate rows => Invalid). The
-  /// check is free on the sorting path; on sort-avoiding paths it costs one
-  /// hash pass and can be disabled for trusted inputs.
-  bool validate_keys = true;
-
   /// Memory ceiling for the contiguous path: kAuto never gathers more than
   /// this many bytes when a column-at-a-time algorithm exists. Within the
   /// ceiling, the planner's cost model (core/planner.h) picks the kernel
@@ -113,12 +108,6 @@ struct RmaOptions {
   /// Minimum rows per shard (>= 1): an op is never split finer than this, so
   /// tiny inputs keep the single-DAG path regardless of `max_shards`.
   int64_t shard_min_rows = 4096;
-
-  /// Reuse sort permutations across operations sharing an ExecContext:
-  /// preparing the same (relation, order schema) twice hits a cache instead
-  /// of re-sorting. Covers e.g. the covariance pipeline tra+mmu and the OLS
-  /// workloads.
-  bool enable_prepared_cache = true;
 
   /// Optional timing sink (not owned). Writes are serialized per
   /// ExecContext; don't point two concurrently executing contexts at one

@@ -25,10 +25,11 @@ Status CheckKeyHashed(const std::vector<BatPtr>& keys) {
   return Status::OK();
 }
 
-/// The sort itself (or its hash-validated avoidance), uncached.
+/// The sort itself (or its hash-validated avoidance), uncached. Either way
+/// the order schema must be a key of the relation (Sec. 4).
 Result<std::shared_ptr<PreparedArg>> ComputePrepared(
     const Relation& r, const std::vector<std::string>& order,
-    const RmaOptions& opts, bool avoid_sort) {
+    bool avoid_sort) {
   auto p = std::make_shared<PreparedArg>();
   p->rel = r;
   p->rows = r.num_rows();
@@ -36,12 +37,12 @@ Result<std::shared_ptr<PreparedArg>> ComputePrepared(
   std::vector<BatPtr> keys;
   for (int i : p->split.order_idx) keys.push_back(r.column(i));
   if (avoid_sort) {
-    if (opts.validate_keys) RMA_RETURN_NOT_OK(CheckKeyHashed(keys));
+    RMA_RETURN_NOT_OK(CheckKeyHashed(keys));
     return p;  // identity perm
   }
   bool unique = true;
   std::vector<int64_t> perm = bat_ops::ArgSortUnique(keys, &unique);
-  if (opts.validate_keys && !unique) {
+  if (!unique) {
     return Status::Invalid("order schema is not a key of the relation");
   }
   if (!IsIdentity(perm)) p->perm = std::move(perm);
@@ -81,7 +82,7 @@ Result<PreparedArgPtr> PrepareArgument(ExecContext& ctx, const Relation& r,
     return cached;  // no prepare time recorded: the sort is reused
   }
   Timer timer;
-  auto computed = ComputePrepared(r, order, opts, avoid_sort);
+  auto computed = ComputePrepared(r, order, avoid_sort);
   ctx.RecordStage(Stage::kPrepare, timer.Seconds());
   RMA_RETURN_NOT_OK(computed.status());
   PreparedArgPtr prepared = *computed;
@@ -141,12 +142,10 @@ Result<BinaryArgs> PrepareBinaryArgs(ExecContext& ctx, const OpInfo& info,
           if (rkeys[i].get() != skeys[i].get()) same_bats = false;
         }
         if (same_bats) {
-          if (opts.validate_keys) {
-            const Status st = CheckKeyHashed(rkeys);
-            if (!st.ok()) {
-              ctx.RecordStage(Stage::kPrepare, timer.Seconds());
-              return st;
-            }
+          const Status st = CheckKeyHashed(rkeys);
+          if (!st.ok()) {
+            ctx.RecordStage(Stage::kPrepare, timer.Seconds());
+            return st;
           }
           out.right = std::move(cand);
         } else if (auto align = bat_ops::AlignByKey(skeys, rkeys);

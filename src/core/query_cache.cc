@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <utility>
 
 namespace rma {
@@ -15,34 +14,11 @@ namespace {
 constexpr size_t kMaxPlanEntries = 128;
 constexpr size_t kMaxPreparedEntries = 256;
 
-/// Upper bound on waiting for an in-flight leader. The leader publishes only
-/// when its whole statement finishes (the statement plan accretes during
-/// execution), and a waiter still executes the statement itself after
-/// borrowing — so waiting past the planning-cost scale buys nothing and only
-/// delays the duplicate. The bound keeps dedupe effective for the common
-/// fast statement while capping the added latency behind a slow leader; a
-/// timed-out waiter simply plans independently (the pre-dedupe behavior).
-constexpr std::chrono::milliseconds kDedupWait{100};
-
 uint64_t HashMix(uint64_t h, uint64_t v) {
   // FNV-1a over 8-byte words.
   constexpr uint64_t kPrime = 1099511628211ULL;
   h ^= v;
   return h * kPrime;
-}
-
-/// The single hit rule. The options fingerprint always gates; after that an
-/// identity snapshot match serves (mutations of unrelated tables bumped the
-/// version but changed none of the plan's relations), and exact catalog
-/// version is the fallback when either side lacks attribution.
-bool PlanServes(const QueryCache::StatementPlan& plan, uint64_t version,
-                uint64_t fingerprint,
-                const QueryCache::TableSnapshot* tables) {
-  if (plan.options_fingerprint != fingerprint) return false;
-  if (plan.tables_known && tables != nullptr) {
-    return plan.base_tables == *tables;
-  }
-  return plan.catalog_version == version;
 }
 
 }  // namespace
@@ -124,9 +100,7 @@ uint64_t QueryCache::OptionsFingerprint(const RmaOptions& opts) {
   uint64_t h = 14695981039346656037ULL;  // FNV offset basis
   h = HashMix(h, static_cast<uint64_t>(opts.kernel));
   h = HashMix(h, static_cast<uint64_t>(opts.sort));
-  h = HashMix(h, opts.validate_keys ? 1 : 0);
   h = HashMix(h, static_cast<uint64_t>(opts.contiguous_budget_bytes));
-  h = HashMix(h, opts.enable_prepared_cache ? 1 : 0);
   // The shard decision is plan content (OpPlan::shards/merge): toggling
   // sharding limits must not serve a stale plan shape. max_threads joined
   // plan content with sharding — it caps the candidate shard counts.
@@ -137,13 +111,14 @@ uint64_t QueryCache::OptionsFingerprint(const RmaOptions& opts) {
 }
 
 QueryCache::StatementPlanPtr QueryCache::LookupPlan(
-    const std::string& normalized, uint64_t catalog_version,
-    uint64_t options_fingerprint, const TableSnapshot* tables) {
+    const std::string& normalized, uint64_t options_fingerprint,
+    const TableSnapshot& tables) {
   MutexLock lock(mu_);
   auto it = plans_.find(normalized);
+  // The single hit rule: same options, same relations.
   if (it == plans_.end() ||
-      !PlanServes(*it->second.plan, catalog_version, options_fingerprint,
-                  tables)) {
+      it->second.plan->options_fingerprint != options_fingerprint ||
+      it->second.plan->base_tables != tables) {
     ++counters_.plan_misses;
     return nullptr;
   }
@@ -152,8 +127,10 @@ QueryCache::StatementPlanPtr QueryCache::LookupPlan(
   return it->second.plan;
 }
 
-void QueryCache::StorePlanLocked(const std::string& normalized,
-                                 StatementPlanPtr plan) {
+void QueryCache::StorePlan(const std::string& normalized,
+                           StatementPlanPtr plan) {
+  if (plan == nullptr) return;
+  MutexLock lock(mu_);
   if (plans_.size() >= kMaxPlanEntries && plans_.count(normalized) == 0) {
     auto victim = plans_.begin();
     for (auto it = plans_.begin(); it != plans_.end(); ++it) {
@@ -165,135 +142,16 @@ void QueryCache::StorePlanLocked(const std::string& normalized,
   plans_[normalized] = PlanEntry{std::move(plan), ++tick_};
 }
 
-void QueryCache::StorePlan(const std::string& normalized,
-                           StatementPlanPtr plan) {
-  if (plan == nullptr) return;
-  MutexLock lock(mu_);
-  StorePlanLocked(normalized, std::move(plan));
-}
-
-QueryCache::PlanTicket QueryCache::AcquirePlan(const std::string& normalized,
-                                               uint64_t catalog_version,
-                                               uint64_t options_fingerprint,
-                                               const TableSnapshot* tables) {
-  PlanTicket ticket;
-  MutexLock lock(mu_);
-  for (;;) {
-    auto it = plans_.find(normalized);
-    if (it != plans_.end() &&
-        PlanServes(*it->second.plan, catalog_version, options_fingerprint,
-                   tables)) {
-      it->second.last_used = ++tick_;
-      ++counters_.plan_hits;
-      ticket.plan = it->second.plan;
-      return ticket;
-    }
-    auto inf = inflight_.find(normalized);
-    if (inf == inflight_.end()) {
-      auto entry = std::make_shared<Inflight>();
-      entry->catalog_version = catalog_version;
-      entry->options_fingerprint = options_fingerprint;
-      if (tables != nullptr) {
-        entry->tables = *tables;
-        entry->tables_known = true;
-      }
-      inflight_[normalized] = std::move(entry);
-      ++counters_.plan_misses;
-      ticket.leader = true;
-      return ticket;
-    }
-    const Inflight& leader = *inf->second;
-    const bool same_snapshot = leader.tables_known && tables != nullptr &&
-                               leader.tables == *tables;
-    if (leader.options_fingerprint != options_fingerprint ||
-        (!same_snapshot && leader.catalog_version != catalog_version)) {
-      // A leader is planning the same text against a different catalog
-      // state (snapshot and version both differ) or options fingerprint;
-      // its plan cannot serve this statement. Plan independently (stored
-      // via StorePlan, no waiters to wake).
-      ++counters_.plan_misses;
-      return ticket;
-    }
-    const std::shared_ptr<Inflight> entry = inf->second;
-    ++counters_.plan_dedup_waits;
-    // Explicit deadline loop instead of wait_for(pred): entry->done is
-    // guarded by mu_, and the analysis only sees the lock held if the
-    // predicate check stays in this function rather than a lambda.
-    const auto deadline = std::chrono::steady_clock::now() + kDedupWait;
-    bool completed = true;
-    while (!entry->done) {
-      if (entry->cv.WaitUntil(mu_, deadline) == std::cv_status::timeout) {
-        completed = entry->done;
-        break;
-      }
-    }
-    if (!completed) {
-      // Liveness backstop (leader stuck or starved): plan independently.
-      ++counters_.plan_misses;
-      return ticket;
-    }
-    if (entry->plan != nullptr) {
-      // Re-validate the published plan against *this* caller before
-      // borrowing: the leader advertised its acquire-time snapshot, but
-      // what it bound can diverge (a catalog mutation landed mid-flight
-      // — the plan then carries different identities, or none at all for
-      // mixed binds). The hit rule is the same one LookupPlan applies;
-      // a plan that fails it is planned around independently.
-      if (!PlanServes(*entry->plan, catalog_version, options_fingerprint,
-                      tables)) {
-        ++counters_.plan_misses;
-        return ticket;
-      }
-      ++counters_.plan_hits;
-      ticket.plan = entry->plan;
-      ticket.borrowed = true;
-      return ticket;
-    }
-    // The leader abandoned (its statement failed before producing a plan).
-    // Retry: the next round may find a new leader, or elect this caller.
-  }
-}
-
-void QueryCache::FinishInflightLocked(const std::string& normalized,
-                                      StatementPlanPtr plan) {
-  auto it = inflight_.find(normalized);
-  if (it == inflight_.end()) return;
-  // Waiters hold the shared_ptr, so the entry (and its condition variable)
-  // outlives the map erase; they observe done/plan under mu_ when they wake.
-  it->second->done = true;
-  it->second->plan = std::move(plan);
-  it->second->cv.NotifyAll();
-  inflight_.erase(it);
-}
-
-void QueryCache::PublishPlan(const std::string& normalized,
-                             StatementPlanPtr plan) {
-  MutexLock lock(mu_);
-  if (plan != nullptr) StorePlanLocked(normalized, plan);
-  FinishInflightLocked(normalized, std::move(plan));
-}
-
-void QueryCache::AbandonPlan(const std::string& normalized) {
-  MutexLock lock(mu_);
-  FinishInflightLocked(normalized, nullptr);
-}
-
 void QueryCache::InvalidatePlansForTables(
-    const std::vector<std::string>& written, uint64_t current_version) {
+    const std::vector<std::string>& written) {
   MutexLock lock(mu_);
   for (auto it = plans_.begin(); it != plans_.end();) {
-    const StatementPlan& plan = *it->second.plan;
-    bool stale;
-    if (plan.tables_known) {
-      stale = std::any_of(plan.base_tables.begin(), plan.base_tables.end(),
-                          [&written](const auto& entry) {
-                            return std::find(written.begin(), written.end(),
-                                             entry.first) != written.end();
-                          });
-    } else {
-      // No attribution: the version backstop — any mutation strands it.
-      stale = plan.catalog_version != current_version;
-    }
+    const TableSnapshot& read = it->second.plan->base_tables;
+    const bool stale =
+        std::any_of(read.begin(), read.end(), [&written](const auto& entry) {
+          return std::find(written.begin(), written.end(), entry.first) !=
+                 written.end();
+        });
     if (stale) {
       it = plans_.erase(it);
       ++counters_.plan_invalidations;

@@ -36,21 +36,13 @@ namespace rma {
 /// mutation of table A never costs cached plans that read only table B,
 /// and a copied Database sharing this cache can never borrow a plan whose
 /// leaves embed the other catalog's relations (identities are process-wide
-/// unique and never recycled). The owning catalog (sql::Database) still
-/// bumps a monotone version on Register/Drop/CREATE TABLE AS and passes the
-/// written table names to InvalidatePlansForTables, which eagerly evicts
-/// exactly the plans reading a written table; the version remains the
-/// correctness backstop for plans whose table set could not be attributed
-/// (`tables_known` false) — those hit only at the exact version they were
-/// built at, as before. Prepared entries are keyed on identity tokens that
-/// new relations can never collide with, so they are invalidated precisely
-/// via EvictRelation when the catalog replaces or drops a relation.
-///
-/// Concurrent identical statements (ExecuteBatch dispatches whole runs at
-/// once) are deduplicated: AcquirePlan elects one leader per normalized key
-/// to plan while the rest wait and borrow the published plan, so a batch of
-/// N identical statements plans once instead of N times racing to fill the
-/// same entry.
+/// unique and never recycled). The owning catalog (sql::Database) passes
+/// each written table name to InvalidatePlansForTables on Register/Drop/
+/// CREATE TABLE AS, which eagerly evicts the plans reading it: a stale plan
+/// could no longer hit, but it would pin the relations it embeds. Prepared
+/// entries are keyed on identity tokens that new relations can never
+/// collide with, so they are invalidated precisely via EvictRelation when
+/// the catalog replaces or drops a relation.
 ///
 /// All methods are thread-safe (one mutex); contexts of concurrent queries
 /// may share one cache.
@@ -75,14 +67,11 @@ class QueryCache {
   /// The cached plan of one whole statement, in FROM-clause traversal order.
   struct StatementPlan {
     std::vector<CachedOp> ops;
-    uint64_t catalog_version = 0;
     uint64_t options_fingerprint = 0;
-    /// The read-set snapshot the statement was bound against. With
-    /// `tables_known`, the plan hits for any caller whose current snapshot
-    /// is equal (regardless of catalog version — mutations of other tables
-    /// don't matter); without it, only the exact catalog version hits.
+    /// The read-set snapshot the statement was bound against: the plan
+    /// hits for any caller whose current snapshot is equal, however often
+    /// other tables changed.
     TableSnapshot base_tables;
-    bool tables_known = false;
   };
   using StatementPlanPtr = std::shared_ptr<const StatementPlan>;
 
@@ -92,7 +81,6 @@ class QueryCache {
     int64_t plan_hits = 0;
     int64_t plan_misses = 0;
     int64_t plan_invalidations = 0;  ///< entries dropped by catalog mutation
-    int64_t plan_dedup_waits = 0;    ///< statements that waited on a leader
     int64_t prepared_hits = 0;
     int64_t prepared_misses = 0;
     int64_t evictions = 0;           ///< entries dropped for capacity/eviction
@@ -114,57 +102,22 @@ class QueryCache {
 
   // --- statement plans -------------------------------------------------------
 
-  /// Returns the cached plan for `normalized` iff it can serve a caller at
-  /// `catalog_version` / `options_fingerprint` / `tables` (the caller's
-  /// current read-set snapshot; may be null when unattributable): the
-  /// fingerprint must match, and then either the entry's identity snapshot
-  /// equals `tables`, or — for entries or callers without a snapshot — the
-  /// catalog version matches exactly. Null (a miss) otherwise.
+  /// Returns the cached plan for `normalized` iff it can serve the caller:
+  /// its options fingerprint equals `options_fingerprint` and its identity
+  /// snapshot equals `tables`, the caller's current read-set snapshot. Null
+  /// (a miss) otherwise. Each call counts one plan hit or miss.
   StatementPlanPtr LookupPlan(const std::string& normalized,
-                              uint64_t catalog_version,
                               uint64_t options_fingerprint,
-                              const TableSnapshot* tables = nullptr);
+                              const TableSnapshot& tables);
 
+  /// Stores (or replaces) the plan for `normalized`, evicting the least
+  /// recently used entry when the cache is full.
   void StorePlan(const std::string& normalized, StatementPlanPtr plan);
 
   /// Catalog mutation wrote `written` (lower-cased table names): eagerly
-  /// drops the plan entries whose recorded read set intersects it, plus —
-  /// the version backstop — every entry without an attributed table set
-  /// that was built at an older version. Entries reading only other tables
-  /// survive and keep hitting via their identity snapshots.
-  void InvalidatePlansForTables(const std::vector<std::string>& written,
-                                uint64_t current_version);
-
-  // --- in-flight statement dedupe -------------------------------------------
-
-  /// Outcome of AcquirePlan. Exactly one of three shapes:
-  ///  - `plan` non-null: serve it (a cache hit, or borrowed from a leader
-  ///    that just published — `borrowed` distinguishes the two);
-  ///  - `leader` true: this caller plans and MUST call PublishPlan (success)
-  ///    or AbandonPlan (failure) — waiters are blocked on it;
-  ///  - both false/null: plan independently and store via StorePlan (an
-  ///    incompatible leader was in flight, or waiting timed out).
-  struct PlanTicket {
-    StatementPlanPtr plan;
-    bool leader = false;
-    bool borrowed = false;
-  };
-
-  /// Combined lookup + leader election for one statement execution. On a
-  /// miss with no compatible in-flight leader, the caller is elected leader;
-  /// identical concurrent statements block (bounded — see kDedupWait) until
-  /// the leader publishes, then borrow its plan instead of re-planning.
-  PlanTicket AcquirePlan(const std::string& normalized,
-                         uint64_t catalog_version,
-                         uint64_t options_fingerprint,
-                         const TableSnapshot* tables = nullptr);
-
-  /// Leader completed: stores the plan and wakes every waiter with it.
-  void PublishPlan(const std::string& normalized, StatementPlanPtr plan);
-
-  /// Leader failed before producing a plan: wakes waiters empty-handed;
-  /// each retries AcquirePlan (and may be elected the new leader).
-  void AbandonPlan(const std::string& normalized);
+  /// drops the plan entries whose recorded read set intersects it. Entries
+  /// reading only other tables survive and keep hitting.
+  void InvalidatePlansForTables(const std::vector<std::string>& written);
 
   // --- prepared arguments ----------------------------------------------------
 
@@ -204,31 +157,10 @@ class QueryCache {
     StatementPlanPtr plan;
     uint64_t last_used = 0;
   };
-  /// One in-flight planning leader; waiters hold the shared_ptr so the
-  /// condition variable outlives the map entry. Every field is guarded by
-  /// the owning cache's mu_ (the analysis cannot express a nested struct
-  /// guarded by its container's mutex, so this one stays prose): writers
-  /// and waiters alike only touch an Inflight while holding QueryCache::mu_.
-  struct Inflight {
-    uint64_t catalog_version = 0;
-    uint64_t options_fingerprint = 0;
-    TableSnapshot tables;  ///< the leader's read-set snapshot
-    bool tables_known = false;
-    bool done = false;
-    StatementPlanPtr plan;  ///< null after AbandonPlan
-    CondVar cv;
-  };
-
   int64_t EvictPreparedLruLocked() RMA_REQUIRES(mu_);
-  void StorePlanLocked(const std::string& normalized, StatementPlanPtr plan)
-      RMA_REQUIRES(mu_);
-  void FinishInflightLocked(const std::string& normalized,
-                            StatementPlanPtr plan) RMA_REQUIRES(mu_);
 
   mutable Mutex mu_;
   std::unordered_map<std::string, PlanEntry> plans_ RMA_GUARDED_BY(mu_);
-  std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight_
-      RMA_GUARDED_BY(mu_);
   std::unordered_map<std::string, PreparedEntry> prepared_
       RMA_GUARDED_BY(mu_);
   uint64_t tick_ RMA_GUARDED_BY(mu_) = 0;

@@ -1,8 +1,6 @@
 #include "server/session.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <limits>
 #include <utility>
 
@@ -19,23 +17,6 @@ namespace {
 /// How often an idle session re-checks the server's drain flag. Bounds the
 /// shutdown latency contributed by idle connections.
 constexpr int kDrainPollMs = 100;
-
-Result<bool> ParseBool(const std::string& v) {
-  const std::string s = ToLower(v);
-  if (s == "1" || s == "true" || s == "on") return true;
-  if (s == "0" || s == "false" || s == "off") return false;
-  return Status::Invalid("not a boolean: '" + v + "'");
-}
-
-Result<int64_t> ParseInt(const std::string& v) {
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(v.c_str(), &end, 10);
-  if (errno != 0 || end == v.c_str() || *end != '\0') {
-    return Status::Invalid("not an integer: '" + v + "'");
-  }
-  return static_cast<int64_t>(parsed);
-}
 
 /// Parses the value of an int-typed key. Values outside int are refused,
 /// not narrowed: 4294967297 must not quietly become 1.
@@ -78,14 +59,6 @@ Status ApplyOption(RmaOptions* opts, const std::string& key,
       return Status::Invalid("sort must be always|optimized, got '" + value +
                              "'");
     }
-    return Status::OK();
-  }
-  if (k == "validate_keys") {
-    RMA_ASSIGN_OR_RETURN(opts->validate_keys, ParseBool(value));
-    return Status::OK();
-  }
-  if (k == "enable_prepared_cache") {
-    RMA_ASSIGN_OR_RETURN(opts->enable_prepared_cache, ParseBool(value));
     return Status::OK();
   }
   if (k == "max_threads") {

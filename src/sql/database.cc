@@ -1,7 +1,6 @@
 #include "sql/database.h"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <functional>
 #include <utility>
@@ -24,7 +23,6 @@ Database::Database(const Database& other) : query_cache_(nullptr) {
   ReaderMutexLock lock(other.catalog_mu_);
   tables_ = other.tables_;
   query_cache_ = other.query_cache_;
-  catalog_version_.store(other.catalog_version(), std::memory_order_release);
   rma_options = other.rma_options;
   store_ = other.store_;
 }
@@ -33,21 +31,18 @@ Database& Database::operator=(const Database& other) {
   if (this == &other) return *this;
   std::map<std::string, Relation> tables;
   QueryCachePtr cache;
-  uint64_t version;
   RmaOptions opts;
   std::shared_ptr<PagedStore> store;
   {
     ReaderMutexLock lock(other.catalog_mu_);
     tables = other.tables_;
     cache = other.query_cache_;
-    version = other.catalog_version();
     opts = other.rma_options;
     store = other.store_;
   }
   WriterMutexLock lock(catalog_mu_);
   tables_ = std::move(tables);
   query_cache_ = std::move(cache);
-  catalog_version_.store(version, std::memory_order_release);
   rma_options = opts;
   store_ = std::move(store);
   return *this;
@@ -65,31 +60,12 @@ Result<Database> Database::Open(const std::string& dir,
     WriterMutexLock lock(db.catalog_mu_);
     // Recovered relations enter the catalog directly — they are already
     // persisted, so routing them through Register would rewrite every file.
+    // The cache is new, so there are no plans to invalidate.
     for (const auto& [name, rel] : store->recovered()) {
       db.tables_[ToLower(name)] = rel;
-      db.BumpCatalogVersionLocked(ToLower(name));
     }
   }
   return db;
-}
-
-void Database::BumpCatalogVersionLocked(const std::string& written_table) {
-  // Versions come from a process-wide counter, not a per-database one:
-  // copied Database objects share the QueryCache, and independent bumps of
-  // per-database counters could coincide and let one copy serve the other's
-  // cached plans (whose leaves embed the wrong catalog's relations). A
-  // global counter makes every post-copy mutation land on a version no
-  // other database ever reaches. (The identity snapshots on attributed
-  // plans are the primary hit rule; the version is the backstop for plans
-  // without one.)
-  static std::atomic<uint64_t> global_version{0};
-  catalog_version_.store(
-      global_version.fetch_add(1, std::memory_order_relaxed) + 1,
-      std::memory_order_release);
-  // Per-table invalidation: only plans reading the written table are
-  // evicted — plans over other tables keep hitting via their identity
-  // snapshots across this version bump.
-  query_cache_->InvalidatePlansForTables({written_table}, catalog_version());
 }
 
 Status Database::Register(const std::string& name, Relation rel) {
@@ -110,7 +86,7 @@ Status Database::Register(const std::string& name, Relation rel) {
     query_cache_->EvictRelation(it->second.identity());
   }
   tables_[key] = std::move(rel);
-  BumpCatalogVersionLocked(key);
+  query_cache_->InvalidatePlansForTables({key});
   return Status::OK();
 }
 
@@ -137,7 +113,7 @@ Status Database::Drop(const std::string& name) {
   query_cache_->EvictRelation(it->second.identity());
   const std::string key = ToLower(name);
   tables_.erase(it);
-  BumpCatalogVersionLocked(key);
+  query_cache_->InvalidatePlansForTables({key});
   return Status::OK();
 }
 

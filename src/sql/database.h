@@ -1,8 +1,6 @@
 #ifndef RMA_SQL_DATABASE_H_
 #define RMA_SQL_DATABASE_H_
 
-#include <atomic>
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -29,26 +27,23 @@ namespace rma::sql {
 /// The database owns a QueryCache shared by every statement it executes:
 /// physical plans are cached per normalized statement text and prepared
 /// arguments (sort/alignment permutations) per relation identity, so a
-/// repeated query skips planning and sorting entirely. Catalog mutations
-/// (Register, Drop, CREATE TABLE AS) invalidate **per table**: a cached
-/// plan records the base tables it reads (as identity-anchored snapshots),
-/// and a mutation evicts only the plans touching the written table —
-/// mutating A never costs plans that read only B. The monotone catalog
-/// version stays as the backstop for plans whose read set could not be
-/// attributed.
+/// repeated query skips planning and sorting entirely. A cached plan
+/// records the base tables it reads as an identity snapshot and hits only
+/// while the catalog still maps each of them to the relation it embedded.
+/// Catalog mutations (Register, Drop, CREATE TABLE AS) invalidate **per
+/// table**: a mutation evicts only the plans touching the written table —
+/// mutating A never costs plans that read only B.
 ///
-/// Thread-safety: the catalog is guarded by a shared mutex and the version
-/// is atomic, so concurrent Query/Execute calls may interleave with
-/// Register/Drop from other threads without corrupting state — every bound
-/// relation is an immutable snapshot (shared immutable columns), and a
-/// plan entry only hits while the catalog still maps each table the plan
-/// reads to the exact relation it embedded (identity match; unattributed
-/// entries hit only at the exact catalog version they were built at). The
-/// isolation level is read-committed, not snapshot: a statement binds each
-/// table reference with its own lookup, so a mutation landing mid-statement
-/// can let one statement observe both the old and the new catalog (e.g. a
-/// self-join bound around a concurrent Register); a plan recorded by such a
-/// statement detects the mixed binds and is never served by identity.
+/// Thread-safety: the catalog is guarded by a shared mutex, so concurrent
+/// Query/Execute calls may interleave with Register/Drop from other threads
+/// without corrupting state — every bound relation is an immutable snapshot
+/// (shared immutable columns), and a plan entry only hits while the catalog
+/// still maps each table the plan reads to the exact relation it embedded.
+/// The isolation level is read-committed, not snapshot: a statement binds
+/// each table reference with its own lookup, so a mutation landing
+/// mid-statement can let one statement observe both the old and the new
+/// catalog (e.g. a self-join bound around a concurrent Register); a
+/// statement that bound one table as two relations does not store its plan.
 /// `rma_options` must not be mutated while statements execute concurrently.
 class Database {
  public:
@@ -71,11 +66,11 @@ class Database {
   const std::shared_ptr<PagedStore>& paged_store() const { return store_; }
 
   /// Adds (or replaces) a table. The relation's name is set to `name`.
-  /// Bumps the catalog version and evicts exactly the cached plans reading
-  /// this table (plus a replaced relation's prepared arguments); plans over
-  /// other tables survive. With a store attached the relation is persisted
-  /// first (atomic manifest swing) and the catalog holds the store-backed
-  /// twin; persistence failure leaves the catalog unchanged.
+  /// Evicts exactly the cached plans reading this table (plus a replaced
+  /// relation's prepared arguments); plans over other tables survive. With
+  /// a store attached the relation is persisted first (atomic manifest
+  /// swing) and the catalog holds the store-backed twin; persistence
+  /// failure leaves the catalog unchanged.
   Status Register(const std::string& name, Relation rel);
 
   /// Looks a table up (case-insensitive).
@@ -127,10 +122,8 @@ class Database {
   /// concurrency) are in flight, so a budget of 1 runs the batch one
   /// statement at a time; the in-flight statements split that thread
   /// budget, so total worker fan-out stays bounded. The batch shares one
-  /// ExecContext borrowing the query cache. Identical in-flight statements
-  /// are deduplicated at the plan cache (QueryCache::AcquirePlan): one
-  /// leader plans, the rest wait and borrow its plan instead of racing to
-  /// fill the same entry.
+  /// ExecContext borrowing the query cache. Identical statements in flight
+  /// at once may each miss and plan; every later one hits the stored plan.
   ///
   /// Every statement observes exactly the catalog state its script
   /// position implies: a SELECT over a table created earlier in the batch
@@ -149,29 +142,15 @@ class Database {
   /// (benchmarks, tests); statements use it automatically.
   const QueryCachePtr& query_cache() const { return query_cache_; }
 
-  /// Monotone version of the catalog contents; bumped by Register/Drop
-  /// (and thus CREATE TABLE AS). Plan-cache entries with an attributed
-  /// read set hit via identity snapshots regardless of the version;
-  /// unattributed entries only hit at the exact version they were built
-  /// at (the correctness backstop).
-  uint64_t catalog_version() const {
-    return catalog_version_.load(std::memory_order_acquire);
-  }
-
   /// Options applied to relational matrix operations inside queries.
   RmaOptions rma_options;
 
  private:
-  /// Bumps the catalog version and evicts the cached plans reading
-  /// `written_table` (lower-cased). Caller holds catalog_mu_ exclusively.
-  void BumpCatalogVersionLocked(const std::string& written_table)
-      RMA_REQUIRES(catalog_mu_);
   Result<Relation> ExecuteParsed(Statement&& stmt, const std::string& sql);
   void ExecuteBatchStatement(Statement&& stmt, const std::string& sql,
                              ExecContext* ctx, Result<Relation>* slot);
 
-  /// Guards tables_; the catalog version is additionally atomic so
-  /// statement execution can read it without the lock.
+  /// Guards tables_.
   mutable SharedMutex catalog_mu_;
   /// Keyed by lower-cased name.
   std::map<std::string, Relation> tables_ RMA_GUARDED_BY(catalog_mu_);
@@ -181,7 +160,6 @@ class Database {
   /// execution reads the pointer freely; the QueryCache it points at is
   /// internally synchronized.
   QueryCachePtr query_cache_ = std::make_shared<QueryCache>();
-  std::atomic<uint64_t> catalog_version_{0};
   /// Durable backing store; nullptr for in-memory databases. Shares the
   /// copy discipline of query_cache_ (reassigned only under quiescence;
   /// the PagedStore is internally synchronized).

@@ -357,9 +357,10 @@ Result<Bound> EvaluateTableRef(const Database& db, const TableRefPtr& ref,
     }
     case TableRef::Kind::kRmaOp: {
       // A plan-cache hit serves the whole operation tree: the rewritten
-      // expression (leaf relations bound at record time — sound because the
-      // catalog version is part of the cache key) evaluates directly, with
-      // no rebinding, rewriting, or planning.
+      // expression (leaf relations bound at record time — sound because a
+      // plan hits only while the catalog maps every table it read to the
+      // relation it embedded) evaluates directly, with no rebinding,
+      // rewriting, or planning.
       if (pcs != nullptr && pcs->hit != nullptr &&
           pcs->cursor < pcs->hit->ops.size()) {
         const QueryCache::CachedOp& cop = pcs->hit->ops[pcs->cursor++];
@@ -597,33 +598,11 @@ Result<Relation> ExecuteSelectImpl(const Database& db, const SelectStmt& stmt,
   return result;
 }
 
-/// Ensures an elected planning leader always resolves its in-flight entry:
-/// destruction without Publish() abandons, waking waiters empty-handed (the
-/// statement failed or an exception unwound through planning).
-class PlanLeaderGuard {
- public:
-  PlanLeaderGuard(QueryCache* cache, const std::string* key)
-      : cache_(cache), key_(key) {}
-  ~PlanLeaderGuard() {
-    if (cache_ != nullptr) cache_->AbandonPlan(*key_);
-  }
-  void Publish(QueryCache::StatementPlanPtr plan) {
-    cache_->PublishPlan(*key_, std::move(plan));
-    cache_ = nullptr;
-  }
-  PlanLeaderGuard(const PlanLeaderGuard&) = delete;
-  PlanLeaderGuard& operator=(const PlanLeaderGuard&) = delete;
-
- private:
-  QueryCache* cache_;
-  const std::string* key_;
-};
-
 /// The caller's current read-set snapshot: the (lower-cased name, identity)
 /// of every base table the statement's AST references, as the catalog maps
-/// them right now. Returns false — snapshot unusable, fall back to exact
-/// catalog-version matching — when a referenced table is absent (the
-/// statement is about to fail at bind anyway).
+/// them right now, sorted by name. Returns false when a referenced table is
+/// absent: there is nothing to match, so the statement does not look up
+/// (it is about to fail at bind, unless a concurrent Register wins the race).
 bool SnapshotReadTables(const Database& db, const SelectStmt& stmt,
                         QueryCache::TableSnapshot* snapshot) {
   for (const std::string& name : ReadTables(stmt)) {
@@ -638,8 +617,7 @@ bool SnapshotReadTables(const Database& db, const SelectStmt& stmt,
 /// snapshot stored on its plan: sorted by name, exact duplicates collapsed.
 /// Returns false when the same table was bound as two different relations —
 /// a catalog mutation landed mid-statement; such a plan embeds a mix of
-/// catalog states and must never hit by identity (it is stored under its
-/// captured version, which the mutation already left behind).
+/// catalog states, matches no snapshot, and is not stored.
 bool CanonicalizeBinds(QueryCache::TableSnapshot* binds) {
   std::sort(binds->begin(), binds->end());
   binds->erase(std::unique(binds->begin(), binds->end()), binds->end());
@@ -649,47 +627,26 @@ bool CanonicalizeBinds(QueryCache::TableSnapshot* binds) {
   return true;
 }
 
-/// Shared statement runner. With `normalized` set, consults and populates
-/// the database's plan cache through the dedupe protocol: identical
-/// concurrent statements elect one leader to plan while the rest wait and
-/// borrow its plan (ExecuteBatch dispatches whole runs at once — without the
-/// election they race to fill the same entry, planning N times). With
-/// `normalized` null, records the statement plan without touching the cache
-/// (legacy uncached entry points). `plan_out` (optional) receives the plan
+/// Shared statement runner: snapshots the read set, looks the plan up in
+/// the database's cache under `normalized`, executes (serving the
+/// statement's relational matrix operations from the plan on a hit), and on
+/// a miss stores the plan the run recorded. Concurrent identical statements
+/// that all miss each plan and store; the last store wins, and any of them
+/// serves later statements alike. `plan_out` (optional) receives the plan
 /// that served or was recorded.
 Result<Relation> RunStatement(const Database& db, const SelectStmt& stmt,
-                              const std::string* normalized, ExecContext* ctx,
+                              const std::string& normalized, ExecContext* ctx,
                               QueryCache::StatementPlanPtr* plan_out) {
   const QueryCachePtr& cache = db.query_cache();
   const uint64_t fingerprint =
       QueryCache::OptionsFingerprint(ctx->options());
-  // Capture the catalog version once: looking it up again at store time
-  // would race with concurrent Register/Drop — a statement built against
-  // the old catalog could be stored under the *new* version and then serve
-  // stale relations. Stored under the captured version, a concurrently
-  // bumped entry simply never hits and is swept at the next invalidation.
-  const uint64_t catalog_version = db.catalog_version();
-  // The current identities of the tables the statement reads key the
-  // per-table hit rule: the cached plan serves iff the catalog still maps
-  // every read table to the exact relation the plan embedded — mutations
-  // of *other* tables (which bump the version) cannot cost this plan.
   QueryCache::TableSnapshot current_tables;
-  const bool snapshot_ok =
-      normalized != nullptr && SnapshotReadTables(db, stmt, &current_tables);
-  const QueryCache::TableSnapshot* tables =
-      snapshot_ok ? &current_tables : nullptr;
-  PlanCacheState pcs;
   QueryCache::StatementPlanPtr used;
-  std::unique_ptr<PlanLeaderGuard> leader;
-  if (normalized != nullptr) {
-    QueryCache::PlanTicket ticket =
-        cache->AcquirePlan(*normalized, catalog_version, fingerprint, tables);
-    used = std::move(ticket.plan);
-    if (ticket.leader) {
-      leader = std::make_unique<PlanLeaderGuard>(cache.get(), normalized);
-    }
-    ctx->RecordPlanCache(used != nullptr);
+  if (SnapshotReadTables(db, stmt, &current_tables)) {
+    used = cache->LookupPlan(normalized, fingerprint, current_tables);
   }
+  ctx->RecordPlanCache(used != nullptr);
+  PlanCacheState pcs;
   std::vector<QueryCache::CachedOp> recorded;
   QueryCache::TableSnapshot bound_tables;
   if (used != nullptr) {
@@ -714,24 +671,19 @@ Result<Relation> RunStatement(const Database& db, const SelectStmt& stmt,
                          after.evictions - pool_before.evictions,
                          after.writebacks - pool_before.writebacks);
   }
-  if (!result.ok()) return result;  // the guard abandons for a leader
+  if (!result.ok()) return result;
   if (used == nullptr) {
     auto plan = std::make_shared<QueryCache::StatementPlan>();
     plan->ops = std::move(recorded);
-    plan->catalog_version = catalog_version;
     plan->options_fingerprint = fingerprint;
     // Anchor validity on the identities actually bound during execution
     // (not the pre-execution snapshot): if the catalog still maps every
     // read table to these exact relations, the embedded leaves *are* the
     // current catalog — regardless of how often unrelated tables changed.
-    plan->tables_known = CanonicalizeBinds(&bound_tables);
+    const bool consistent = CanonicalizeBinds(&bound_tables);
     plan->base_tables = std::move(bound_tables);
     used = plan;
-    if (leader != nullptr) {
-      leader->Publish(std::move(plan));
-    } else if (normalized != nullptr) {
-      cache->StorePlan(*normalized, std::move(plan));
-    }
+    if (consistent) cache->StorePlan(normalized, std::move(plan));
   }
   if (plan_out != nullptr) *plan_out = std::move(used);
   return result;
@@ -753,7 +705,7 @@ Result<Relation> ExecuteSelect(const Database& db, const SelectStmt& stmt,
 Result<Relation> ExecuteSelectCached(const Database& db, const SelectStmt& stmt,
                                      const std::string& normalized,
                                      ExecContext* ctx) {
-  return RunStatement(db, stmt, &normalized, ctx, /*plan_out=*/nullptr);
+  return RunStatement(db, stmt, normalized, ctx, /*plan_out=*/nullptr);
 }
 
 // --- EXPLAIN -----------------------------------------------------------------
@@ -905,8 +857,6 @@ void AppendExecutionSection(const Database& db, const ExecContext& ctx,
       plan_line += "not consulted";
       break;
   }
-  plan_line += " (catalog version " + std::to_string(db.catalog_version()) +
-               ")";
   AppendIndented(plan_line, 1, lines);
   AppendIndented("simd: " + simd::Describe(), 1, lines);
   const RmaStats& totals = ctx.totals();
@@ -984,7 +934,7 @@ Result<Relation> ExplainStatement(Database& db, const Statement& stmt,
   Timer timer;
   RMA_ASSIGN_OR_RETURN(
       Relation result,
-      RunStatement(db, *stmt.select, &normalized, &ctx, &plan_used));
+      RunStatement(db, *stmt.select, normalized, &ctx, &plan_used));
   const double total_seconds = timer.Seconds();
   if (stmt.explain_create) {
     RMA_RETURN_NOT_OK(db.Register(stmt.table_name, result));

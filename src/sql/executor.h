@@ -30,14 +30,16 @@ Result<Relation> ExecuteSelect(const Database& db, const SelectStmt& stmt,
 
 /// Plan-cache-aware execution: consults the database's QueryCache under
 /// `normalized` (QueryCache::NormalizeStatement of the statement text)
-/// with the current identity snapshot of the statement's read tables (the
-/// per-table hit rule; the catalog version is the fallback). On a hit,
-/// every FROM-clause relational matrix operation is served from its cached
-/// rewritten expression — no rebinding, rewriting, or planning; with warm
-/// prepared arguments the statement also skips every sort. On a miss the
-/// statement executes normally, the identities it binds are recorded, and
-/// the plan is stored for the next run. The context should borrow the
-/// database's cache (Database wires this up).
+/// with the current identity snapshot of the statement's read tables; a
+/// plan hits iff its options fingerprint and its snapshot both match. On a
+/// hit, every FROM-clause relational matrix operation is served from its
+/// cached rewritten expression — no rebinding, rewriting, or planning; with
+/// warm prepared arguments the statement also skips every sort. On a miss
+/// the statement executes normally, the identities it binds are recorded,
+/// and after a successful run the plan is stored for the next one (unless
+/// it bound one table as two relations). A statement naming a missing
+/// table does not look up and counts as a miss. The context should borrow
+/// the database's cache (Database wires this up).
 Result<Relation> ExecuteSelectCached(const Database& db, const SelectStmt& stmt,
                                      const std::string& normalized,
                                      ExecContext* ctx);

@@ -3,7 +3,6 @@
 #include "matrix/simd.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <functional>
 #include <numeric>
 
@@ -30,17 +29,8 @@ namespace {
 // loop arrives; much further and lines are evicted again on large gathers,
 // much nearer and latency isn't covered. 32 measured best on the bench_batch
 // gather scenarios on both the AVX2 and NEON boxes (16/64 within noise,
-// both slower). RMA_PREFETCH_DISTANCE overrides for recalibration without a
-// rebuild; 0 disables the prefetch entirely.
-int64_t PrefetchDistance() {
-  static const int64_t distance = [] {
-    if (const char* env = std::getenv("RMA_PREFETCH_DISTANCE")) {
-      return static_cast<int64_t>(std::strtol(env, nullptr, 10));
-    }
-    return static_cast<int64_t>(32);
-  }();
-  return distance;
-}
+// both slower).
+constexpr int64_t kPrefetchDistance = 32;
 
 int CompareRows(const std::vector<BatPtr>& keys, int64_t i, int64_t j) {
   for (const auto& k : keys) {
@@ -326,12 +316,11 @@ void CopyDenseToStrided(const double* src, int64_t n, double* dst,
   // stores overlap. Order-preserving, so bit-identical to the plain loop.
   // The strided destination touches a new cache line per store; a write
   // prefetch one lookahead group down hides the read-for-ownership latency.
-  const int64_t dist = PrefetchDistance();
   int64_t i = 0;
   for (; i + 4 <= n; i += 4) {
     double* d = dst + i * stride;
-    if (dist > 0 && i + dist < n) {
-      RMA_PREFETCH_WRITE(dst + (i + dist) * stride);
+    if (i + kPrefetchDistance < n) {
+      RMA_PREFETCH_WRITE(dst + (i + kPrefetchDistance) * stride);
     }
     d[0] = src[i];
     d[stride] = src[i + 1];
@@ -358,15 +347,14 @@ void GatherColumnToStrided(const Bat& col, const std::vector<int64_t>& perm,
     // the lines a fixed distance ahead through the (sequentially readable)
     // permutation. Prefetching is a hint — results are bit-identical.
     const int64_t* p = perm.data();
-    const int64_t dist = PrefetchDistance();
     int64_t i = 0;
     for (; i + 4 <= n; i += 4) {
       double* out = dst + i * stride;
-      if (dist > 0 && i + dist + 3 < n) {
-        RMA_PREFETCH_READ(v + p[i + dist]);
-        RMA_PREFETCH_READ(v + p[i + dist + 1]);
-        RMA_PREFETCH_READ(v + p[i + dist + 2]);
-        RMA_PREFETCH_READ(v + p[i + dist + 3]);
+      if (i + kPrefetchDistance + 3 < n) {
+        RMA_PREFETCH_READ(v + p[i + kPrefetchDistance]);
+        RMA_PREFETCH_READ(v + p[i + kPrefetchDistance + 1]);
+        RMA_PREFETCH_READ(v + p[i + kPrefetchDistance + 2]);
+        RMA_PREFETCH_READ(v + p[i + kPrefetchDistance + 3]);
       }
       out[0] = v[p[i]];
       out[stride] = v[p[i + 1]];

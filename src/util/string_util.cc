@@ -1,8 +1,10 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace rma {
 
@@ -56,6 +58,20 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
     }
   }
   return true;
+}
+
+Result<int64_t> ParseInt(const std::string& v, int64_t lo, int64_t hi) {
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(v.c_str(), &end, 10);
+  if (errno != 0 || end == v.c_str() || *end != '\0') {
+    return Status::Invalid("not an integer: '" + v + "'");
+  }
+  if (parsed < lo || parsed > hi) {
+    return Status::Invalid("out of range [" + std::to_string(lo) + ", " +
+                           std::to_string(hi) + "]: '" + v + "'");
+  }
+  return static_cast<int64_t>(parsed);
 }
 
 std::string FormatDouble(double v) {

@@ -1,9 +1,13 @@
 #ifndef RMA_UTIL_STRING_UTIL_H_
 #define RMA_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/result.h"
 
 namespace rma {
 
@@ -22,6 +26,22 @@ std::string ToUpper(std::string_view s);
 
 /// Case-insensitive equality for ASCII strings.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
+
+/// Parses all of `v` as a base-10 integer in [lo, hi]. Garbage, trailing
+/// characters, overflow and values outside the range are Invalid: never
+/// narrowed, wrapped or read as 0.
+Result<int64_t> ParseInt(const std::string& v,
+                         int64_t lo = std::numeric_limits<int64_t>::min(),
+                         int64_t hi = std::numeric_limits<int64_t>::max());
+
+/// ParseInt into an integer of type `T`; [lo, hi] must lie within T, so
+/// the cast is exact. On error `*out` is left as it was.
+template <typename T>
+Status ParseInt(const std::string& v, int64_t lo, int64_t hi, T* out) {
+  RMA_ASSIGN_OR_RETURN(const int64_t parsed, ParseInt(v, lo, hi));
+  *out = static_cast<T>(parsed);
+  return Status::OK();
+}
 
 /// Formats a double the way column names derived from values are printed:
 /// integral values render without a decimal point ("7"), others compactly

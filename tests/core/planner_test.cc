@@ -131,7 +131,7 @@ TEST(ExecContextTest, SecondOpOnSameRelationSkipsSort) {
   ctx.mutable_options().stats = &second;
   ASSERT_OK(RmaUnary(&ctx, MatrixOp::kRqr, r, {"id"}).status());
   EXPECT_EQ(second.sort_seconds, 0.0);  // permutation reused, no re-sort
-  EXPECT_EQ(ctx.cache_hits(), 1);
+  EXPECT_EQ(ctx.totals().prepared_cache_hits, 1);
 }
 
 TEST(ExecContextTest, CacheRespectsOrderSchema) {
@@ -142,20 +142,10 @@ TEST(ExecContextTest, CacheRespectsOrderSchema) {
   ExecContext ctx{RmaOptions{}};
   ASSERT_OK(RmaUnary(&ctx, MatrixOp::kQqr, r, {"id"}).status());
   ASSERT_OK(RmaUnary(&ctx, MatrixOp::kQqr, r, {"id2"}).status());
-  EXPECT_EQ(ctx.cache_hits(), 0);  // different order schema: no reuse
+  // Different order schema: no reuse.
+  EXPECT_EQ(ctx.totals().prepared_cache_hits, 0);
   ASSERT_OK(RmaUnary(&ctx, MatrixOp::kQqr, r, {"id"}).status());
-  EXPECT_EQ(ctx.cache_hits(), 1);
-}
-
-TEST(ExecContextTest, CacheCanBeDisabled) {
-  Rng rng(9);
-  const Relation r = RandomKeyedRelation(500, 3, &rng);
-  RmaOptions opts;
-  opts.enable_prepared_cache = false;
-  ExecContext ctx(opts);
-  ASSERT_OK(RmaUnary(&ctx, MatrixOp::kQqr, r, {"id"}).status());
-  ASSERT_OK(RmaUnary(&ctx, MatrixOp::kQqr, r, {"id"}).status());
-  EXPECT_EQ(ctx.cache_hits(), 0);
+  EXPECT_EQ(ctx.totals().prepared_cache_hits, 1);
 }
 
 TEST(ExecContextTest, PlansAreRecorded) {
@@ -171,8 +161,10 @@ TEST(ExecContextTest, PlansAreRecorded) {
 
 // --- golden equivalence across pipeline paths --------------------------------
 
-/// Runs `op` on `r` under every (kernel policy, cache on/off, shared/fresh
-/// context) combination and checks all results are the same relation.
+/// Runs `op` on `r` under every kernel policy, both twice on one context
+/// (the second run reuses the cached prepare) and on a fresh context per
+/// run (each prepares from scratch), and checks all results are the same
+/// relation.
 void ExpectAllPathsAgree(MatrixOp op, const Relation& r,
                          const std::vector<std::string>& order) {
   RmaOptions base;
@@ -180,19 +172,23 @@ void ExpectAllPathsAgree(MatrixOp op, const Relation& r,
 
   for (KernelPolicy policy : {KernelPolicy::kAuto, KernelPolicy::kBat,
                               KernelPolicy::kContiguous}) {
-    for (bool cache : {true, false}) {
+    for (bool shared : {true, false}) {
       RmaOptions opts;
       opts.kernel = policy;
-      opts.enable_prepared_cache = cache;
-      ExecContext ctx(opts);
-      // Twice on one context: the second run exercises the cached prepare.
-      ASSERT_OK_AND_ASSIGN(const Relation once, RmaUnary(&ctx, op, r, order));
-      ASSERT_OK_AND_ASSIGN(const Relation twice, RmaUnary(&ctx, op, r, order));
+      ExecContext first(opts);
+      ExecContext fresh(opts);
+      ExecContext& second = shared ? first : fresh;
+      ASSERT_OK_AND_ASSIGN(const Relation once,
+                           RmaUnary(&first, op, r, order));
+      ASSERT_OK_AND_ASSIGN(const Relation twice,
+                           RmaUnary(&second, op, r, order));
+      EXPECT_EQ(second.totals().prepared_cache_hits, shared ? 1 : 0);
       EXPECT_TRUE(RelationsEqualUnordered(reference, once, 1e-6))
           << GetOpInfo(op).name << " diverged (policy "
-          << static_cast<int>(policy) << ", cache " << cache << ")";
+          << static_cast<int>(policy) << ")";
       EXPECT_TRUE(RelationsEqualUnordered(once, twice, 1e-9))
-          << GetOpInfo(op).name << " not reproducible on a shared context";
+          << GetOpInfo(op).name << " not reproducible (shared context "
+          << shared << ")";
     }
   }
 }

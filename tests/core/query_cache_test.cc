@@ -1,12 +1,11 @@
-// The database-level QueryCache: statement normalization, catalog-versioned
-// plan invalidation, cross-context prepared-argument sharing, precise
-// relation eviction, and capacity-bounded LRU eviction.
+// The database-level QueryCache: statement normalization, the identity-
+// snapshot plan hit rule, per-table plan invalidation, cross-context
+// prepared-argument sharing, precise relation eviction, and
+// capacity-bounded LRU eviction.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/exec_context.h"
@@ -103,88 +102,70 @@ TEST(OptionsFingerprintTest, PlanAffectingFieldsChangeTheFingerprint) {
             QueryCache::OptionsFingerprint(b));
 }
 
-TEST(QueryCacheTest, PlanHitsOnlyAtItsCatalogVersion) {
-  QueryCache cache;
-  auto plan = std::make_shared<QueryCache::StatementPlan>();
-  plan->catalog_version = 3;
-  plan->options_fingerprint = 42;
-  cache.StorePlan("select * from t", plan);
-
-  EXPECT_NE(cache.LookupPlan("select * from t", 3, 42), nullptr);
-  // Register/Drop between runs bumps the version: the entry must miss.
-  EXPECT_EQ(cache.LookupPlan("select * from t", 4, 42), nullptr);
-  // Changed options must miss too.
-  EXPECT_EQ(cache.LookupPlan("select * from t", 3, 43), nullptr);
-  EXPECT_EQ(cache.counters().plan_hits, 1);
-  EXPECT_EQ(cache.counters().plan_misses, 2);
-}
-
 QueryCache::StatementPlanPtr PlanReading(QueryCache::TableSnapshot tables,
-                                         uint64_t version,
                                          uint64_t fingerprint = 42) {
   auto plan = std::make_shared<QueryCache::StatementPlan>();
-  plan->catalog_version = version;
   plan->options_fingerprint = fingerprint;
   plan->base_tables = std::move(tables);
-  plan->tables_known = true;
   return plan;
 }
 
+TEST(QueryCacheTest, PlanHitsOnlyAtItsCatalogVersion) {
+  // The catalog state a plan was built at is the identity snapshot of the
+  // tables it reads: Register/Drop of `t` between runs gives `t` a new
+  // relation identity, and the entry must miss.
+  QueryCache cache;
+  const QueryCache::TableSnapshot built_at = {{"t", 3}};
+  cache.StorePlan("select * from t", PlanReading(built_at));
+
+  EXPECT_NE(cache.LookupPlan("select * from t", 42, built_at), nullptr);
+  EXPECT_EQ(cache.LookupPlan("select * from t", 42, {{"t", 4}}), nullptr);
+  // Changed options must miss too.
+  EXPECT_EQ(cache.LookupPlan("select * from t", 43, built_at), nullptr);
+  // Another statement text is another entry.
+  EXPECT_EQ(cache.LookupPlan("select * from u", 42, built_at), nullptr);
+  EXPECT_EQ(cache.counters().plan_hits, 1);
+  EXPECT_EQ(cache.counters().plan_misses, 3);
+}
+
 TEST(QueryCacheTest, IdentitySnapshotHitsAcrossVersionBumps) {
-  // A plan with an attributed read set hits for any caller whose current
-  // snapshot matches — mutations of *other* tables bumped the version but
-  // changed none of this plan's relations.
+  // A plan hits for any caller whose current snapshot matches — however
+  // often other tables changed, none of this plan's relations did.
   QueryCache cache;
   const QueryCache::TableSnapshot snap = {{"a", 11}, {"b", 12}};
-  cache.StorePlan("q", PlanReading(snap, /*version=*/3));
-  EXPECT_NE(cache.LookupPlan("q", 3, 42, &snap), nullptr);
-  EXPECT_NE(cache.LookupPlan("q", 9, 42, &snap), nullptr);  // version moved on
+  cache.StorePlan("q", PlanReading(snap));
+  EXPECT_NE(cache.LookupPlan("q", 42, snap), nullptr);
+  cache.InvalidatePlansForTables({"c"});  // another table was written
+  EXPECT_NE(cache.LookupPlan("q", 42, snap), nullptr);
   // A different identity for either table must miss (the relation was
-  // replaced, or the caller is a different catalog sharing the cache).
-  const QueryCache::TableSnapshot replaced = {{"a", 11}, {"b", 99}};
-  EXPECT_EQ(cache.LookupPlan("q", 9, 42, &replaced), nullptr);
+  // replaced, or the caller is a different catalog sharing the cache), and
+  // so must a snapshot naming other tables.
+  EXPECT_EQ(cache.LookupPlan("q", 42, {{"a", 11}, {"b", 99}}), nullptr);
+  EXPECT_EQ(cache.LookupPlan("q", 42, {{"a", 11}}), nullptr);
   // The options fingerprint still gates identity hits.
-  EXPECT_EQ(cache.LookupPlan("q", 3, 43, &snap), nullptr);
-  // A caller without a snapshot falls back to exact-version matching.
-  EXPECT_NE(cache.LookupPlan("q", 3, 42), nullptr);
-  EXPECT_EQ(cache.LookupPlan("q", 9, 42), nullptr);
+  EXPECT_EQ(cache.LookupPlan("q", 43, snap), nullptr);
+  EXPECT_EQ(cache.counters().plan_hits, 2);
+  EXPECT_EQ(cache.counters().plan_misses, 3);
 }
 
 TEST(QueryCacheTest, InvalidatePlansForTablesEvictsOnlyIntersectingPlans) {
   QueryCache cache;
-  cache.StorePlan("qa", PlanReading({{"a", 1}}, 5));
-  cache.StorePlan("qb", PlanReading({{"b", 2}}, 5));
-  cache.StorePlan("qab", PlanReading({{"a", 1}, {"b", 2}}, 5));
+  cache.StorePlan("qa", PlanReading({{"a", 1}}));
+  cache.StorePlan("qb", PlanReading({{"b", 2}}));
+  cache.StorePlan("qab", PlanReading({{"a", 1}, {"b", 2}}));
   ASSERT_EQ(cache.plan_entries(), 3u);
 
   // Mutating `a` evicts exactly the plans reading `a`; the counter stays
   // precise (two evictions, not three).
-  cache.InvalidatePlansForTables({"a"}, /*current_version=*/6);
+  cache.InvalidatePlansForTables({"a"});
   EXPECT_EQ(cache.plan_entries(), 1u);
   EXPECT_EQ(cache.counters().plan_invalidations, 2);
-  const QueryCache::TableSnapshot snap_b = {{"b", 2}};
-  EXPECT_NE(cache.LookupPlan("qb", 6, 42, &snap_b), nullptr);
+  EXPECT_NE(cache.LookupPlan("qb", 42, {{"b", 2}}), nullptr);
 
   // Mutating an unrelated table costs nothing further.
-  cache.InvalidatePlansForTables({"c"}, 7);
+  cache.InvalidatePlansForTables({"c"});
   EXPECT_EQ(cache.plan_entries(), 1u);
   EXPECT_EQ(cache.counters().plan_invalidations, 2);
-}
-
-TEST(QueryCacheTest, InvalidatePlansForTablesVersionBackstopsUnattributed) {
-  // Entries without an attributed read set cannot be matched by name: any
-  // mutation strands them at their old version, and the sweep drops them.
-  QueryCache cache;
-  auto unattributed = std::make_shared<QueryCache::StatementPlan>();
-  unattributed->catalog_version = 5;
-  unattributed->options_fingerprint = 42;
-  cache.StorePlan("qu", unattributed);
-  cache.StorePlan("qb", PlanReading({{"b", 2}}, 5));
-  cache.InvalidatePlansForTables({"a"}, 6);
-  EXPECT_EQ(cache.plan_entries(), 1u);  // only the attributed plan survives
-  EXPECT_EQ(cache.counters().plan_invalidations, 1);
-  const QueryCache::TableSnapshot snap_b = {{"b", 2}};
-  EXPECT_NE(cache.LookupPlan("qb", 6, 42, &snap_b), nullptr);
 }
 
 TEST(QueryCacheTest, PreparedArgumentsSharedAcrossContexts) {
@@ -265,29 +246,6 @@ TEST(QueryCacheTest, PreparedCapacityIsBoundedWithLruEviction) {
   EXPECT_EQ(cache.LookupPrepared("key0"), nullptr);
 }
 
-TEST(QueryCacheTest, ValidationVariantIsPartOfThePreparedKey) {
-  // A prepared argument computed with validate_keys=false must not satisfy
-  // a later context that requires validation: the lax entry skipped the
-  // key-uniqueness check, and serving it would mask the Invalid error.
-  const Relation dup =
-      Relation::Make(Schema::Make({{"id", DataType::kInt64},
-                                   {"a", DataType::kDouble}})
-                         .ValueOrDie(),
-                     {MakeInt64Bat({1, 1}), MakeDoubleBat({2.0, 3.0})}, "dup")
-          .ValueOrDie();
-  auto shared = std::make_shared<QueryCache>();
-  RmaOptions lax;
-  lax.validate_keys = false;
-  ExecContext trusting(lax, shared);
-  ASSERT_OK(RmaUnary(&trusting, MatrixOp::kQqr, dup, {"id"}).status());
-
-  ExecContext strict(RmaOptions{}, shared);  // validate_keys = true
-  const auto checked = RmaUnary(&strict, MatrixOp::kQqr, dup, {"id"});
-  EXPECT_TRUE(checked.status().IsInvalid())
-      << "duplicate keys must be rejected, not served from the lax entry: "
-      << checked.status().ToString();
-}
-
 TEST(QueryCacheTest, AlignedPermutationReusedAcrossElementwiseOps) {
   // The shared-sort extension of PrepareBinaryArgs: add then sub over the
   // same (r, s) pair under SortPolicy::kOptimized hash-aligns once and
@@ -339,21 +297,22 @@ TEST(QueryCacheTest, OrderPartGatheredOncePerCachedArgument) {
   EXPECT_EQ(sub.column(0).get(), add.column(0).get());
   EXPECT_EQ(sub.column(1).get(), add.column(1).get());  // s's order part
 
-  RmaOptions uncached = opts;
-  uncached.enable_prepared_cache = false;
-  ExecContext cold(uncached);
+  // Each op on a fresh context (with its own empty cache) prepares, and
+  // gathers, its own argument.
+  ExecContext cold_add(opts);
   ASSERT_OK_AND_ASSIGN(
       const Relation add_ref,
-      RmaBinary(&cold, MatrixOp::kAdd, r, {"id"}, s, {"id2"}));
+      RmaBinary(&cold_add, MatrixOp::kAdd, r, {"id"}, s, {"id2"}));
+  ExecContext cold_qqr(opts);
   ASSERT_OK_AND_ASSIGN(const Relation qqr_ref,
-                       RmaUnary(&cold, MatrixOp::kQqr, r, {"id"}));
+                       RmaUnary(&cold_qqr, MatrixOp::kQqr, r, {"id"}));
+  ExecContext cold_sub(opts);
   ASSERT_OK_AND_ASSIGN(
       const Relation sub_ref,
-      RmaBinary(&cold, MatrixOp::kSub, r, {"id"}, s, {"id2"}));
+      RmaBinary(&cold_sub, MatrixOp::kSub, r, {"id"}, s, {"id2"}));
   EXPECT_TRUE(testing::BitIdentical(add, add_ref));
   EXPECT_TRUE(testing::BitIdentical(qqr, qqr_ref));
   EXPECT_TRUE(testing::BitIdentical(sub, sub_ref));
-  // Without the cache every op prepares, and gathers, its own argument.
   EXPECT_NE(qqr_ref.column(0).get(), add_ref.column(0).get());
 }
 
@@ -373,165 +332,6 @@ TEST(QueryCacheTest, OrderPartMemoFreedWithItsEntry) {
   // ...and frees it with the entry.
   shared->EvictRelation(r.identity());
   EXPECT_TRUE(memo.expired());
-}
-
-// --- in-flight plan dedupe ----------------------------------------------------
-
-TEST(PlanDedupeTest, FirstAcquirerLeadsThenWaitersBorrow) {
-  QueryCache cache;
-  const std::string key = "select * from t";
-  QueryCache::PlanTicket first = cache.AcquirePlan(key, 3, 42);
-  EXPECT_TRUE(first.leader);
-  EXPECT_EQ(first.plan, nullptr);
-
-  // A concurrent identical statement blocks until the leader publishes.
-  std::thread waiter([&] {
-    QueryCache::PlanTicket t = cache.AcquirePlan(key, 3, 42);
-    EXPECT_FALSE(t.leader);
-    EXPECT_TRUE(t.borrowed);
-    ASSERT_NE(t.plan, nullptr);
-    EXPECT_EQ(t.plan->catalog_version, 3u);
-  });
-  // The wait counter bumps right before the waiter blocks; publishing only
-  // after observing it makes the borrow path deterministic.
-  while (cache.counters().plan_dedup_waits == 0) std::this_thread::yield();
-  auto plan = std::make_shared<QueryCache::StatementPlan>();
-  plan->catalog_version = 3;
-  plan->options_fingerprint = 42;
-  cache.PublishPlan(key, plan);
-  waiter.join();
-
-  // After publication the entry is a normal cache hit.
-  QueryCache::PlanTicket later = cache.AcquirePlan(key, 3, 42);
-  EXPECT_FALSE(later.leader);
-  EXPECT_FALSE(later.borrowed);
-  EXPECT_NE(later.plan, nullptr);
-
-  const QueryCache::Counters c = cache.counters();
-  EXPECT_EQ(c.plan_misses, 1);      // only the leader planned
-  EXPECT_EQ(c.plan_dedup_waits, 1);
-  EXPECT_EQ(c.plan_hits, 2);        // the borrower and the later hit
-}
-
-TEST(PlanDedupeTest, AbandonedLeaderHandsOffToAWaiter) {
-  QueryCache cache;
-  const std::string key = "select * from broken";
-  QueryCache::PlanTicket first = cache.AcquirePlan(key, 1, 7);
-  ASSERT_TRUE(first.leader);
-
-  std::thread waiter([&] {
-    // Wakes empty-handed when the leader abandons, retries, and is elected
-    // the new leader.
-    QueryCache::PlanTicket t = cache.AcquirePlan(key, 1, 7);
-    EXPECT_TRUE(t.leader);
-    EXPECT_EQ(t.plan, nullptr);
-    cache.AbandonPlan(key);  // resolve its own leadership for the test
-  });
-  cache.AbandonPlan(key);
-  waiter.join();
-  EXPECT_EQ(cache.plan_entries(), 0u);  // nothing was ever stored
-}
-
-TEST(PlanDedupeTest, WaiterWithMatchingSnapshotBorrowsAcrossVersions) {
-  // A leader and a waiter at different catalog versions are compatible as
-  // long as their identity snapshots match: the versions diverged on a
-  // table neither statement reads.
-  QueryCache cache;
-  const std::string key = "select * from t";
-  const QueryCache::TableSnapshot snap = {{"t", 7}};
-  QueryCache::PlanTicket leader = cache.AcquirePlan(key, 3, 42, &snap);
-  ASSERT_TRUE(leader.leader);
-
-  std::thread waiter([&] {
-    QueryCache::PlanTicket t = cache.AcquirePlan(key, 9, 42, &snap);
-    EXPECT_FALSE(t.leader);
-    ASSERT_NE(t.plan, nullptr);
-  });
-  while (cache.counters().plan_dedup_waits == 0) std::this_thread::yield();
-  auto plan = std::make_shared<QueryCache::StatementPlan>();
-  plan->catalog_version = 3;
-  plan->options_fingerprint = 42;
-  plan->base_tables = snap;
-  plan->tables_known = true;
-  cache.PublishPlan(key, std::move(plan));
-  waiter.join();
-
-  // A snapshot naming a different relation is incompatible with the stored
-  // entry and plans independently.
-  const QueryCache::TableSnapshot other = {{"t", 8}};
-  QueryCache::PlanTicket t = cache.AcquirePlan(key, 9, 42, &other);
-  EXPECT_TRUE(t.leader);  // entry cannot serve it; no leader in flight
-  cache.AbandonPlan(key);
-}
-
-TEST(PlanDedupeTest, BorrowRevalidatesThePublishedPlan) {
-  // The leader advertises its acquire-time snapshot, but a catalog
-  // mutation landing mid-flight can make it bind (and publish) a plan
-  // over a *different* relation. A waiter whose snapshot matched the
-  // advertisement must re-validate the published plan and plan
-  // independently instead of borrowing another catalog state's leaves.
-  QueryCache cache;
-  const std::string key = "select * from t";
-  const QueryCache::TableSnapshot snap = {{"t", 7}};
-  QueryCache::PlanTicket leader = cache.AcquirePlan(key, 3, 42, &snap);
-  ASSERT_TRUE(leader.leader);
-
-  std::thread waiter([&] {
-    QueryCache::PlanTicket t = cache.AcquirePlan(key, 3, 42, &snap);
-    EXPECT_FALSE(t.leader);
-    EXPECT_FALSE(t.borrowed);
-    EXPECT_EQ(t.plan, nullptr);  // rejected: the plan embeds relation 8
-  });
-  while (cache.counters().plan_dedup_waits == 0) std::this_thread::yield();
-  auto plan = std::make_shared<QueryCache::StatementPlan>();
-  plan->catalog_version = 3;
-  plan->options_fingerprint = 42;
-  plan->base_tables = {{"t", 8}};  // what the leader actually bound
-  plan->tables_known = true;
-  cache.PublishPlan(key, std::move(plan));
-  waiter.join();
-}
-
-TEST(PlanDedupeTest, IncompatibleInflightLeaderDoesNotBlock) {
-  QueryCache cache;
-  const std::string key = "select * from t";
-  QueryCache::PlanTicket leader = cache.AcquirePlan(key, 1, 7);
-  ASSERT_TRUE(leader.leader);
-  // Same text, different catalog version: the leader's plan could never
-  // serve this statement, so it must not wait — it plans independently.
-  QueryCache::PlanTicket other = cache.AcquirePlan(key, 2, 7);
-  EXPECT_FALSE(other.leader);
-  EXPECT_FALSE(other.borrowed);
-  EXPECT_EQ(other.plan, nullptr);
-  cache.AbandonPlan(key);
-}
-
-TEST(PlanDedupeTest, ManyConcurrentAcquirersPlanExactlyOnce) {
-  QueryCache cache;
-  const std::string key = "select * from hot";
-  constexpr int kThreads = 8;
-  std::atomic<int> leaders{0};
-  std::atomic<int> served{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&] {
-      QueryCache::PlanTicket t = cache.AcquirePlan(key, 5, 9);
-      if (t.leader) {
-        ++leaders;
-        auto plan = std::make_shared<QueryCache::StatementPlan>();
-        plan->catalog_version = 5;
-        plan->options_fingerprint = 9;
-        cache.PublishPlan(key, std::move(plan));
-      } else if (t.plan != nullptr) {
-        ++served;
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(leaders.load(), 1);
-  EXPECT_EQ(served.load(), kThreads - 1);
-  EXPECT_EQ(cache.counters().plan_misses, 1);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/constructors.h"
+#include "core/exec_context.h"
 #include "core/rma.h"
 #include "test_util.h"
 
@@ -346,6 +347,19 @@ TEST(RmaOps, NonKeyOrderSchemaRejected) {
   RmaOptions opt;
   opt.sort = SortPolicy::kOptimized;
   EXPECT_STATUS(kInvalidArgument, Qqr(r, {"k"}, opt));
+  // ... and on the relative-alignment path (Sec. 8.1), with the duplicate
+  // key in either argument, also after one shared context has cached what
+  // the earlier operations prepared.
+  const Relation keyed = MakeRelation({{"j", DataType::kInt64},
+                                       {"x", DataType::kDouble}},
+                                      {{int64_t{1}, 1.0}, {int64_t{2}, 2.0}});
+  ExecContext ctx(opt);
+  EXPECT_STATUS(kInvalidArgument,
+                RmaBinary(&ctx, MatrixOp::kAdd, r, {"k"}, keyed, {"j"}));
+  EXPECT_STATUS(kInvalidArgument,
+                RmaBinary(&ctx, MatrixOp::kAdd, keyed, {"j"}, r, {"k"}));
+  EXPECT_STATUS(kInvalidArgument,
+                RmaBinary(&ctx, MatrixOp::kSub, keyed, {"j"}, r, {"k"}));
 }
 
 TEST(RmaOps, ArityMismatchRejected) {

@@ -257,6 +257,8 @@ TEST_F(ServerTest, RemovedSessionKeyIsRejectedByName) {
       {"concurrent_subtrees", "true"},
       {"refine_cost_profile", "true"},
       {"calibration_path", profile},
+      {"validate_keys", "false"},
+      {"enable_prepared_cache", "false"},
   };
   for (const auto& [key, value] : removed) {
     const Status refused = c.SetOption(key, value);

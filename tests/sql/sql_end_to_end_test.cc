@@ -278,8 +278,8 @@ TEST(SqlEndToEnd, CachedQueryDoesNotServeStaleDataAfterReRegister) {
 
 TEST(SqlEndToEnd, CopiedDatabasesDoNotServeEachOthersPlans) {
   // Copies share the QueryCache (shared_ptr) but have independent catalogs;
-  // versions come from a process-wide counter, so post-copy mutations can
-  // never coincide and leak one copy's cached plans into the other.
+  // relation identities are process-wide unique, so a plan one copy cached
+  // never matches the other copy's read-set snapshot.
   auto table = [](double v) {
     return testing::MakeRelation(
         {{"id", DataType::kInt64}, {"a", DataType::kDouble}},
@@ -297,19 +297,6 @@ TEST(SqlEndToEnd, CopiedDatabasesDoNotServeEachOthersPlans) {
   EXPECT_NEAR(ValueToDouble(r2.Get(0, 1)), 0.125, 1e-12);
   ASSERT_OK_AND_ASSIGN(Relation r1_again, db1.Query(q));
   EXPECT_NEAR(ValueToDouble(r1_again.Get(0, 1)), 0.25, 1e-12);
-}
-
-TEST(SqlEndToEnd, CatalogVersionAdvancesOnMutations) {
-  sql::Database db;
-  const uint64_t v0 = db.catalog_version();
-  db.Register("t", testing::WeatherRelation()).Abort();
-  EXPECT_GT(db.catalog_version(), v0);
-  const uint64_t v1 = db.catalog_version();
-  ASSERT_TRUE(db.Execute("CREATE TABLE t2 AS SELECT * FROM t").ok());
-  EXPECT_GT(db.catalog_version(), v1);
-  const uint64_t v2 = db.catalog_version();
-  ASSERT_OK(db.Drop("t2"));
-  EXPECT_GT(db.catalog_version(), v2);
 }
 
 // INT64_MIN % -1 traps in hardware; the evaluator answers 0, the exact

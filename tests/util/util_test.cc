@@ -97,6 +97,33 @@ TEST(StringUtil, FormatDouble) {
   EXPECT_EQ(FormatDouble(0.0), "0");
 }
 
+TEST(StringUtil, ParseIntRefusesWhatItCannotRepresent) {
+  EXPECT_EQ(*ParseInt("42"), 42);
+  EXPECT_EQ(*ParseInt("-7"), -7);
+  EXPECT_EQ(*ParseInt("9223372036854775807"), INT64_MAX);
+  // Garbage and trailing characters are errors, not 0 or a prefix.
+  for (const char* bad : {"", "abc", "12abc", "12 ", "0x10", "1.5"}) {
+    EXPECT_TRUE(ParseInt(bad).status().IsInvalid()) << "'" << bad << "'";
+  }
+  // Overflow is refused, not clamped.
+  EXPECT_TRUE(ParseInt("9223372036854775808").status().IsInvalid());
+  EXPECT_TRUE(ParseInt("-9223372036854775809").status().IsInvalid());
+  // So is a value outside the caller's range, bounds included exactly.
+  EXPECT_EQ(*ParseInt("65535", 0, 65535), 65535);
+  const Status port = ParseInt("65536", 0, 65535).status();
+  EXPECT_TRUE(port.IsInvalid());
+  EXPECT_NE(port.message().find("'65536'"), std::string::npos)
+      << port.ToString();
+  EXPECT_TRUE(ParseInt("-1", 0, 65535).status().IsInvalid());
+
+  // The typed form writes only a value that parsed and fits.
+  uint16_t narrow = 7;
+  ASSERT_OK(ParseInt("8080", 0, 65535, &narrow));
+  EXPECT_EQ(narrow, 8080);
+  EXPECT_FALSE(ParseInt("70000", 0, 65535, &narrow).ok());
+  EXPECT_EQ(narrow, 8080);
+}
+
 TEST(RngTest, DeterministicAcrossInstances) {
   Rng a(123);
   Rng b(123);

@@ -15,12 +15,13 @@
 //   rows=<n> batches=<b> cache=<hit|miss|-> seconds=<s>
 // which is what scripts/server_smoke.sh greps.
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "client/client.h"
+#include "util/string_util.h"
 
 using namespace rma;
 
@@ -88,10 +89,12 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_next = i + 1 < argc;
+    // Integer values outside a flag's range are refused, never narrowed.
+    Status st;
     if (arg == "--host" && has_next) {
       host = argv[++i];
     } else if (arg == "--port" && has_next) {
-      port = static_cast<uint16_t>(std::atoi(argv[++i]));
+      st = ParseInt(argv[++i], 0, 65535, &port);
     } else if (arg == "-e" && has_next) {
       statements.emplace_back(argv[++i]);
     } else if (arg == "--workload" && has_next) {
@@ -102,7 +105,7 @@ int main(int argc, char** argv) {
       }
       statements.insert(statements.end(), w.begin(), w.end());
     } else if (arg == "--reps" && has_next) {
-      reps = std::atoi(argv[++i]);
+      st = ParseInt(argv[++i], 0, std::numeric_limits<int>::max(), &reps);
     } else if (arg == "--option" && has_next) {
       const std::string kv = argv[++i];
       const size_t eq = kv.find('=');
@@ -117,6 +120,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--counts") {
       counts = true;
     } else {
+      return Usage(argv[0]);
+    }
+    if (!st.ok()) {
+      std::fprintf(stderr, "error: %s: %s\n", arg.c_str(),
+                   st.message().c_str());
       return Usage(argv[0]);
     }
   }

@@ -20,20 +20,23 @@
 // SPEC is comma-separated `attr:TYPE` with TYPE one of INT64, DOUBLE,
 // STRING, matching the CSV header order.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "sql/database.h"
 #include "storage/pager.h"
 #include "storage/relation.h"
+#include "util/string_util.h"
 #include "workload/csv.h"
 #include "workload/synthetic.h"
 
 using namespace rma;
 
 namespace {
+
+constexpr int64_t kMaxInt64 = std::numeric_limits<int64_t>::max();
 
 int Usage(const char* argv0) {
   std::fprintf(
@@ -118,6 +121,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_next = i + 1 < argc;
+    // Integer values outside a flag's range are refused, never narrowed.
+    Status st;
     if (arg == "--data-dir" && has_next) {
       data_dir = argv[++i];
     } else if (arg == "--csv" && has_next) {
@@ -135,18 +140,27 @@ int main(int argc, char** argv) {
     } else if (arg == "--list") {
       list = true;
     } else if (arg == "--rows" && has_next) {
-      rows = std::atoll(argv[++i]);
+      st = ParseInt(argv[++i], 0, kMaxInt64, &rows);
     } else if (arg == "--cols" && has_next) {
-      cols = std::atoi(argv[++i]);
+      st = ParseInt(argv[++i], 0, std::numeric_limits<int>::max(), &cols);
     } else if (arg == "--seed" && has_next) {
-      seed = std::atoll(argv[++i]);
+      st = ParseInt(argv[++i], std::numeric_limits<int64_t>::min(), kMaxInt64,
+                    &seed);
     } else if (arg == "--pool-mb" && has_next) {
-      store_opts.pool_bytes = std::atoll(argv[++i]) * 1024 * 1024;
+      // MiB, bounded so the byte count cannot overflow.
+      st = ParseInt(argv[++i], 0, kMaxInt64 >> 20, &store_opts.pool_bytes);
+      store_opts.pool_bytes <<= 20;
     } else if (arg == "--page-bytes" && has_next) {
-      store_opts.page_bytes = std::atoll(argv[++i]);
+      st = ParseInt(argv[++i], 0, kMaxInt64, &store_opts.page_bytes);
     } else if (arg == "--sleep-per-column" && has_next) {
-      store_opts.sleep_ms_between_columns = std::atoi(argv[++i]);
+      st = ParseInt(argv[++i], 0, kMaxInt64,
+                    &store_opts.sleep_ms_between_columns);
     } else {
+      return Usage(argv[0]);
+    }
+    if (!st.ok()) {
+      std::fprintf(stderr, "error: %s: %s\n", arg.c_str(),
+                   st.message().c_str());
       return Usage(argv[0]);
     }
   }

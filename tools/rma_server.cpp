@@ -25,11 +25,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 
 #include "server/server.h"
 #include "sql/database.h"
+#include "util/string_util.h"
 #include "workload/synthetic.h"
 
 using namespace rma;
@@ -93,6 +95,9 @@ void LoadDemoTables(sql::Database& db) {
   }
 }
 
+constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr int64_t kMaxInt64 = std::numeric_limits<int64_t>::max();
+
 int Usage(const char* argv0) {
   std::fprintf(
       stderr,
@@ -122,6 +127,14 @@ int Usage(const char* argv0) {
   return 2;
 }
 
+/// A numeric flag or variable whose value ParseInt refused: names it and
+/// the reason, then answers with the usage error.
+int BadValue(const char* argv0, const std::string& name, const Status& st) {
+  std::fprintf(stderr, "error: %s: %s\n", name.c_str(),
+               st.message().c_str());
+  return Usage(argv0);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -134,34 +147,40 @@ int main(int argc, char** argv) {
   PagedStoreOptions store_opts;
   if (const char* env = std::getenv("RMA_DATA_DIR")) data_dir = env;
   if (const char* env = std::getenv("RMA_POOL_BYTES")) {
-    store_opts.pool_bytes = std::atoll(env);
+    const Status st = ParseInt(env, 0, kMaxInt64, &store_opts.pool_bytes);
+    if (!st.ok()) return BadValue(argv[0], "RMA_POOL_BYTES", st);
   }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_next = i + 1 < argc;
+    // Integer values outside a flag's range are refused, never narrowed.
+    Status st;
     if (arg == "--host" && has_next) {
       opts.host = argv[++i];
     } else if (arg == "--port" && has_next) {
-      opts.port = static_cast<uint16_t>(std::atoi(argv[++i]));
+      st = ParseInt(argv[++i], 0, 65535, &opts.port);
     } else if (arg == "--max-sessions" && has_next) {
-      opts.max_sessions = std::atoi(argv[++i]);
+      st = ParseInt(argv[++i], 0, kMaxInt, &opts.max_sessions);
     } else if (arg == "--admission" && has_next) {
-      opts.max_inflight_statements = std::atoi(argv[++i]);
+      st = ParseInt(argv[++i], 0, kMaxInt, &opts.max_inflight_statements);
     } else if (arg == "--batch-rows" && has_next) {
-      opts.row_batch_rows = std::atoll(argv[++i]);
+      st = ParseInt(argv[++i], 0, kMaxInt64, &opts.row_batch_rows);
     } else if (arg == "--drain-timeout" && has_next) {
-      opts.drain_timeout_ms = std::atoi(argv[++i]);
+      st = ParseInt(argv[++i], 0, kMaxInt, &opts.drain_timeout_ms);
     } else if (arg == "--rows" && has_next) {
-      rows = std::atoll(argv[++i]);
+      st = ParseInt(argv[++i], 0, kMaxInt64, &rows);
     } else if (arg == "--cols" && has_next) {
-      cols = std::atoi(argv[++i]);
+      st = ParseInt(argv[++i], 0, kMaxInt, &cols);
     } else if (arg == "--data-dir" && has_next) {
       data_dir = argv[++i];
     } else if (arg == "--pool-mb" && has_next) {
-      store_opts.pool_bytes = std::atoll(argv[++i]) * 1024 * 1024;
+      // MiB, bounded so the byte count cannot overflow.
+      st = ParseInt(argv[++i], 0, kMaxInt64 >> 20, &store_opts.pool_bytes);
+      store_opts.pool_bytes <<= 20;
     } else {
       return Usage(argv[0]);
     }
+    if (!st.ok()) return BadValue(argv[0], arg, st);
   }
 
   sql::Database db;
