@@ -27,7 +27,10 @@ Relation RenameOrderCols(const Relation& r, int order_cols) {
   return rel::RenameAll(r, names).ValueOrDie();
 }
 
-void RunSubfigure(const char* title, int64_t tuples,
+/// With --json, records one entry per width and variant: name
+/// `<id>/<op>/<policy>/<width>`, op `add` or `qqr`, kernel `sort=always` or
+/// `sort=optimized`, shape `<tuples>x<order attributes>`.
+void RunSubfigure(const char* id, const char* title, int64_t tuples,
                   const std::vector<int>& order_cols) {
   PaperTable table(title, {"#order attrs", "add", "add relative-sort", "qqr",
                            "qqr w/o sort"});
@@ -53,6 +56,22 @@ void RunSubfigure(const char* title, int64_t tuples,
     const double qqr_opt = TimeIt([&] { Qqr(r, order_r, opt).ValueOrDie(); });
     table.AddRow({std::to_string(k), Secs(add_plain), Secs(add_opt),
                   Secs(qqr_plain), Secs(qqr_opt)});
+    const std::string shape = std::to_string(tuples) + "x" + std::to_string(k);
+    const struct {
+      const char* op;
+      const char* policy;
+      double secs;
+    } runs[] = {
+        {"add", "sort=always", add_plain},
+        {"add", "sort=optimized", add_opt},
+        {"qqr", "sort=always", qqr_plain},
+        {"qqr", "sort=optimized", qqr_opt},
+    };
+    for (const auto& run : runs) {
+      BenchJson::Record(std::string(id) + "/" + run.op + "/" + run.policy +
+                            "/" + std::to_string(k),
+                        run.op, shape, run.secs, 0, run.policy);
+    }
   }
   table.AddNote("expected shape (paper Fig. 13): unoptimized cost grows with "
                 "the order-schema width; the optimized variants stay flat");
@@ -147,12 +166,15 @@ void RunQueryCacheEffectiveness(int64_t tuples,
 }  // namespace
 }  // namespace rma::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rma::bench;
-  RunSubfigure("Figure 13a: contextual information, 20K tuples "
+  BenchJson::Init("bench_fig13_context", &argc, argv);
+  RunSubfigure("fig13a",
+               "Figure 13a: contextual information, 20K tuples "
                "(paper: 100K tuples, 200..1000 attrs)",
                Scaled(20000), {40, 80, 120, 160, 200});
-  RunSubfigure("Figure 13b: contextual information, 200K tuples "
+  RunSubfigure("fig13b",
+               "Figure 13b: contextual information, 200K tuples "
                "(paper: 1M tuples, 20..100 attrs)",
                Scaled(200000), {4, 8, 12, 16, 20});
   RunPreparedCache(Scaled(20000), {40, 120, 200});

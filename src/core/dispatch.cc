@@ -224,9 +224,13 @@ Result<Relation> RmaUnary(ExecContext* ctx, MatrixOp op, const Relation& r,
   PinnedRelations residency;
   RMA_RETURN_NOT_OK(residency.Pin(r));
   // --- prepare ---------------------------------------------------------------
-  RMA_ASSIGN_OR_RETURN(PreparedArgPtr p,
-                       internal::PrepareArgument(*ctx, r, order, info,
-                                                 /*skip_sort_allowed=*/true));
+  // kOptimized skips the sort for operations whose result does not depend on
+  // the input row order once origins are attached.
+  const bool avoid_sort = ctx->options().sort == SortPolicy::kOptimized &&
+                          info.row_order_invariant;
+  RMA_ASSIGN_OR_RETURN(
+      PreparedArgPtr p,
+      internal::PrepareArgument(*ctx, r, order, info, avoid_sort));
   const int64_t n = p->rows;
   const int64_t k = p->app_cols();
   if (info.requires_square && n != k) {

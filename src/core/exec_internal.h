@@ -25,13 +25,14 @@ namespace rma::internal {
 
 // --- prepare.cc -------------------------------------------------------------
 
-/// Sorts (or avoids sorting / reuses a cached permutation for) one argument.
-/// Cache misses record their elapsed time against Stage::kPrepare; hits
-/// record nothing, so a fully cached op reports sort_seconds == 0.
+/// Sorts one argument on its order schema or, with `avoid_sort`, keeps its
+/// rows in physical order after checking that the schema is a key; either
+/// way through the prepared cache. Cache misses record their elapsed time
+/// against Stage::kPrepare; hits record nothing, so a fully cached op
+/// reports sort_seconds == 0.
 Result<PreparedArgPtr> PrepareArgument(ExecContext& ctx, const Relation& r,
                                        const std::vector<std::string>& order,
-                                       const OpInfo& info,
-                                       bool skip_sort_allowed);
+                                       const OpInfo& info, bool avoid_sort);
 
 struct BinaryArgs {
   PreparedArgPtr left;
@@ -39,7 +40,9 @@ struct BinaryArgs {
 };
 
 /// Prepares both arguments of a binary operation, applying the relative-
-/// alignment optimization of Sec. 8.1 when the policy and operation allow.
+/// alignment optimization of Sec. 8.1 when the policy and operation allow:
+/// r then stays in physical order, and is sorted only if s cannot be
+/// aligned to it.
 Result<BinaryArgs> PrepareBinaryArgs(ExecContext& ctx, const OpInfo& info,
                                      const Relation& r,
                                      const std::vector<std::string>& order_r,

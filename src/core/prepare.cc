@@ -17,16 +17,10 @@ bool IsIdentity(const std::vector<int64_t>& perm) {
   return true;
 }
 
-/// Hash-based key-uniqueness check, O(n) (used on sort-avoiding paths).
-Status CheckKeyHashed(const std::vector<BatPtr>& keys) {
-  if (!bat_ops::IsKey(keys)) {
-    return Status::Invalid("order schema is not a key of the relation");
-  }
-  return Status::OK();
-}
+constexpr char kNotAKey[] = "order schema is not a key of the relation";
 
-/// The sort itself (or its hash-validated avoidance), uncached. Either way
-/// the order schema must be a key of the relation (Sec. 4).
+/// The sort itself (or its avoidance), uncached. Either way the order
+/// schema must be a key of the relation (Sec. 4).
 Result<std::shared_ptr<PreparedArg>> ComputePrepared(
     const Relation& r, const std::vector<std::string>& order,
     bool avoid_sort) {
@@ -37,36 +31,21 @@ Result<std::shared_ptr<PreparedArg>> ComputePrepared(
   std::vector<BatPtr> keys;
   for (int i : p->split.order_idx) keys.push_back(r.column(i));
   if (avoid_sort) {
-    RMA_RETURN_NOT_OK(CheckKeyHashed(keys));
-    return p;  // identity perm
+    if (!bat_ops::IsKey(keys)) return Status::Invalid(kNotAKey);
+    return p;  // identity perm: rows stay in physical order
   }
   bool unique = true;
   std::vector<int64_t> perm = bat_ops::ArgSortUnique(keys, &unique);
-  if (!unique) {
-    return Status::Invalid("order schema is not a key of the relation");
-  }
+  if (!unique) return Status::Invalid(kNotAKey);
   if (!IsIdentity(perm)) p->perm = std::move(perm);
   return p;
-}
-
-/// `p` in its physical row order, for relative alignment: r keeps its rows
-/// as stored. Built from split, rows and rel rather than copied, so the
-/// variant never carries the sorted argument's order-part memo.
-PreparedArgPtr PhysicalOrder(const PreparedArgPtr& p) {
-  if (p->identity()) return p;
-  auto physical = std::make_shared<PreparedArg>();
-  physical->split = p->split;
-  physical->rows = p->rows;
-  physical->rel = p->rel;
-  return physical;
 }
 
 }  // namespace
 
 Result<PreparedArgPtr> PrepareArgument(ExecContext& ctx, const Relation& r,
                                        const std::vector<std::string>& order,
-                                       const OpInfo& info,
-                                       bool skip_sort_allowed) {
+                                       const OpInfo& info, bool avoid_sort) {
   if (order.empty()) {
     return Status::Invalid("order schema must not be empty");
   }
@@ -74,10 +53,6 @@ Result<PreparedArgPtr> PrepareArgument(ExecContext& ctx, const Relation& r,
     return Status::Invalid(std::string(info.name) +
                            ": order schema must contain exactly one attribute");
   }
-  const RmaOptions& opts = ctx.options();
-  const bool avoid_sort = skip_sort_allowed &&
-                          opts.sort == SortPolicy::kOptimized &&
-                          info.row_order_invariant;
   if (PreparedArgPtr cached = ctx.LookupPrepared(r, order, avoid_sort)) {
     return cached;  // no prepare time recorded: the sort is reused
   }
@@ -95,27 +70,27 @@ Result<BinaryArgs> PrepareBinaryArgs(ExecContext& ctx, const OpInfo& info,
                                      const std::vector<std::string>& order_r,
                                      const Relation& s,
                                      const std::vector<std::string>& order_s) {
-  const RmaOptions& opts = ctx.options();
+  // Relative alignment (Sec. 8.1): for element-wise operations only the
+  // relative row order matters — r keeps its physical row order (the
+  // identity-permutation entry, its key checked once) and s's rows align
+  // to r's keys instead of both being sorted.
+  const bool relative = ctx.options().sort == SortPolicy::kOptimized &&
+                        info.relative_align_ok;
   BinaryArgs out;
-  RMA_ASSIGN_OR_RETURN(out.left,
-                       PrepareArgument(ctx, r, order_r, info,
-                                       /*skip_sort_allowed=*/false));
+  RMA_ASSIGN_OR_RETURN(out.left, PrepareArgument(ctx, r, order_r, info,
+                                                 /*avoid_sort=*/relative));
   // opd's column cast is over s's order schema: |V| = 1.
   if (info.op == MatrixOp::kOpd && order_s.size() != 1) {
     return Status::Invalid("opd: second order schema must contain exactly "
                            "one attribute");
   }
 
-  // Relative alignment (Sec. 8.1): for element-wise operations only the
-  // relative row order matters — keep r in physical order and align s's
-  // rows to r's keys by hashing instead of sorting both.
-  if (opts.sort == SortPolicy::kOptimized && info.relative_align_ok) {
+  if (relative) {
     // A previously computed alignment of s onto r (this statement or, with a
     // shared database-level cache, an earlier one) is reused outright: the
-    // whole pipeline over (r, s) pays for one hash alignment, not one per
+    // whole pipeline over (r, s) pays for one alignment, not one per
     // operation.
     if (PreparedArgPtr cached = ctx.LookupAligned(s, order_s, r, order_r)) {
-      out.left = PhysicalOrder(out.left);
       out.right = cached;
       return out;
     }
@@ -136,17 +111,13 @@ Result<BinaryArgs> PrepareBinaryArgs(ExecContext& ctx, const OpInfo& info,
       }
       if (type_match && r.num_rows() == s.num_rows()) {
         // Same key columns (self-application, e.g. cpd(A, A)): the
-        // alignment is the identity — skip the hash pass entirely.
+        // alignment is the identity, and r's own prepare already proved
+        // these very columns a key.
         bool same_bats = true;
         for (size_t i = 0; i < rkeys.size(); ++i) {
           if (rkeys[i].get() != skeys[i].get()) same_bats = false;
         }
         if (same_bats) {
-          const Status st = CheckKeyHashed(rkeys);
-          if (!st.ok()) {
-            ctx.RecordStage(Stage::kPrepare, timer.Seconds());
-            return st;
-          }
           out.right = std::move(cand);
         } else if (auto align = bat_ops::AlignByKey(skeys, rkeys);
                    align.ok()) {
@@ -158,18 +129,18 @@ Result<BinaryArgs> PrepareBinaryArgs(ExecContext& ctx, const OpInfo& info,
           out.right = std::move(cand);
         }
       }
-      if (out.right != nullptr) {
-        out.left = PhysicalOrder(out.left);
-        ctx.RecordStage(Stage::kPrepare, timer.Seconds());
-        ctx.StoreAligned(s, order_s, r, order_r, out.right);
-        return out;
-      }
     }
     ctx.RecordStage(Stage::kPrepare, timer.Seconds());
+    if (out.right != nullptr) {
+      ctx.StoreAligned(s, order_s, r, order_r, out.right);
+      return out;
+    }
+    // No alignment: sort both arguments after all.
+    RMA_ASSIGN_OR_RETURN(out.left, PrepareArgument(ctx, r, order_r, info,
+                                                   /*avoid_sort=*/false));
   }
-  RMA_ASSIGN_OR_RETURN(out.right,
-                       PrepareArgument(ctx, s, order_s, info,
-                                       /*skip_sort_allowed=*/false));
+  RMA_ASSIGN_OR_RETURN(out.right, PrepareArgument(ctx, s, order_s, info,
+                                                  /*avoid_sort=*/false));
   return out;
 }
 

@@ -341,6 +341,7 @@ Result<Relation> Aggregate(const Relation& r,
 
 Result<Relation> SortBy(const Relation& r,
                         const std::vector<std::string>& keys) {
+  if (keys.empty()) return Status::Invalid("SortBy: no sort keys");
   RMA_ASSIGN_OR_RETURN(std::vector<int> idx, r.schema().IndicesOf(keys));
   std::vector<BatPtr> kb;
   for (int i : idx) kb.push_back(r.column(i));
@@ -375,8 +376,7 @@ Result<Relation> PivotCount(const Relation& r, const std::string& row_attr,
   const BatPtr& rows = r.column(ri);
   const BatPtr& cols = r.column(ci);
   // Distinct row / column values (sorted for deterministic output).
-  bool unique = false;
-  std::vector<int64_t> rperm = bat_ops::ArgSortUnique({rows}, &unique);
+  const std::vector<int64_t> rperm = bat_ops::ArgSort({rows});
   std::vector<int64_t> rrep;  // first row index per distinct row value
   std::unordered_map<std::string, int64_t> row_id;
   for (int64_t p : rperm) {
@@ -385,7 +385,7 @@ Result<Relation> PivotCount(const Relation& r, const std::string& row_attr,
       rrep.push_back(p);
     }
   }
-  std::vector<int64_t> cperm = bat_ops::ArgSortUnique({cols}, &unique);
+  const std::vector<int64_t> cperm = bat_ops::ArgSort({cols});
   std::vector<std::string> col_names;
   std::unordered_map<std::string, int64_t> col_id;
   for (int64_t p : cperm) {

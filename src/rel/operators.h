@@ -63,7 +63,7 @@ Result<Relation> Aggregate(const Relation& r,
                            const std::vector<std::string>& group_by,
                            const std::vector<AggSpec>& aggs);
 
-/// Sorts by `keys` ascending (stable).
+/// Sorts by `keys` ascending (stable). Invalid when `keys` is empty.
 Result<Relation> SortBy(const Relation& r, const std::vector<std::string>& keys);
 
 /// Duplicate elimination over all attributes.

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <sstream>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "core/algebra.h"
@@ -27,11 +27,16 @@ namespace rma::sql {
 
 namespace {
 
+/// Resident copies of the tables a statement binds whole, by catalog
+/// identity (see PlanCacheState::resident).
+using ResidentTables = std::unordered_map<uint64_t, Relation>;
+
 /// Per-statement plan-cache cursor threaded through FROM evaluation. On a
 /// hit, `hit` serves the statement's relational matrix operations in
 /// traversal order; on a miss, built ops are appended to `record` and stored
-/// at statement end. Null means the statement runs uncached (nested
-/// evaluation inside a matrix-operation argument, or legacy entry points).
+/// at statement end. Null (or null `hit` and `record`) means the statement
+/// runs uncached (nested evaluation inside a matrix-operation argument, or
+/// legacy entry points).
 struct PlanCacheState {
   const QueryCache::StatementPlan* hit = nullptr;
   size_t cursor = 0;
@@ -44,6 +49,12 @@ struct PlanCacheState {
   /// matrix-operation arguments: their leaves are embedded in the recorded
   /// expression too.
   QueryCache::TableSnapshot* binds = nullptr;
+  /// Whole-table binds (every matrix-operation argument) materialize each
+  /// table identity once per statement: arguments naming one table share
+  /// its columns, so a self cross product such as CPD(x BY id, x BY id)
+  /// reuses the first argument's prepare and plans SYRK on a paged store
+  /// as on a malloc one. Flows into nested evaluation like `binds`.
+  ResidentTables* resident = nullptr;
 };
 
 /// A relation flowing through the executor, with per-column resolution
@@ -222,14 +233,17 @@ Result<Bound> EvaluateTableRef(const Database& db, const TableRefPtr& ref,
 /// (hit/record null): its results are embedded in the built expression,
 /// which the cache stores whole — recording nested operations separately
 /// would double-count them and desynchronize the hit-path cursor. Only the
-/// bind channel (`binds`) flows through, so base tables bound inside nested
-/// arguments still anchor the stored plan's validity.
+/// bind channel (`binds`) and the statement's `resident` memo flow through,
+/// so base tables bound inside nested arguments still anchor the stored
+/// plan's validity and are materialized once.
 Result<RmaExprPtr> BuildRmaExpr(const Database& db, const TableRefPtr& ref,
                                 ExecContext* ctx,
-                                QueryCache::TableSnapshot* binds) {
+                                QueryCache::TableSnapshot* binds,
+                                ResidentTables* resident) {
   if (ref->kind != TableRef::Kind::kRmaOp) {
     PlanCacheState nested;
     nested.binds = binds;
+    nested.resident = resident;
     // Operation arguments bind whole: their columns are the matrix.
     RMA_ASSIGN_OR_RETURN(Bound b, EvaluateTableRef(db, ref, ctx, &nested,
                                                    /*needed=*/nullptr));
@@ -241,7 +255,7 @@ Result<RmaExprPtr> BuildRmaExpr(const Database& db, const TableRefPtr& ref,
   expr->alias = ref->alias;
   for (const auto& a : ref->rma_args) {
     RMA_ASSIGN_OR_RETURN(RmaExprPtr child,
-                         BuildRmaExpr(db, a.table, ctx, binds));
+                         BuildRmaExpr(db, a.table, ctx, binds, resident));
     expr->children.push_back(std::move(child));
     expr->orders.push_back(a.order);
   }
@@ -338,12 +352,23 @@ Result<Bound> EvaluateTableRef(const Database& db, const TableRefPtr& ref,
       // Late materialization: only the columns the statement names are
       // gathered by joins, and only they fault in from a paged store.
       if (needed != nullptr) rel = KeepNeeded(rel, *needed);
-      // Store-backed tables bind as a resident malloc copy: the relational
-      // operators and streamed results read through accessors with no
-      // Status path, so residency faults (torn-page checksums) must surface
-      // here, as this statement's error. Matrix operations (kRmaOp below)
-      // keep the paged columns and pin at the staged-executor seam instead.
-      RMA_ASSIGN_OR_RETURN(rel, MaterializeUnstable(rel));
+      // Store-backed tables bind as a resident malloc copy, matrix-operation
+      // arguments included: the relational operators and streamed results
+      // read through accessors with no Status path, so residency faults
+      // (torn-page checksums) must surface here, as this statement's error.
+      // A table bound whole is copied once per statement (`resident`).
+      ResidentTables* resident =
+          needed == nullptr && pcs != nullptr ? pcs->resident : nullptr;
+      if (resident != nullptr) {
+        auto it = resident->find(rel.identity());
+        if (it == resident->end()) {
+          RMA_ASSIGN_OR_RETURN(Relation copy, MaterializeUnstable(rel));
+          it = resident->emplace(rel.identity(), std::move(copy)).first;
+        }
+        rel = it->second;
+      } else {
+        RMA_ASSIGN_OR_RETURN(rel, MaterializeUnstable(rel));
+      }
       const std::string alias =
           ref->alias.empty() ? ref->table_name : ref->alias;
       rel.set_name(alias);
@@ -374,7 +399,8 @@ Result<Bound> EvaluateTableRef(const Database& db, const TableRefPtr& ref,
       // the staged pipeline plans, caches, and executes it as one unit.
       RMA_ASSIGN_OR_RETURN(
           RmaExprPtr expr,
-          BuildRmaExpr(db, ref, ctx, pcs != nullptr ? pcs->binds : nullptr));
+          BuildRmaExpr(db, ref, ctx, pcs != nullptr ? pcs->binds : nullptr,
+                       pcs != nullptr ? pcs->resident : nullptr));
       RewriteReport report;
       const RmaExprPtr rewritten =
           RewriteExpression(expr, ctx->options().rewrites, &report);
@@ -522,28 +548,18 @@ Result<Relation> ExecuteAggregation(const SelectStmt& stmt, const Bound& from) {
 
 Result<Relation> ApplyOrderBy(Relation rel,
                               const std::vector<OrderItem>& order_by) {
-  std::vector<int> key_idx;
-  std::vector<bool> asc;
+  std::vector<BatPtr> keys;
+  std::vector<bool> descending;
   for (const auto& item : order_by) {
     if (item.expr->kind != SqlExpr::Kind::kColumn) {
       return Status::Invalid("ORDER BY supports column references only");
     }
     RMA_ASSIGN_OR_RETURN(int idx,
                          rel.schema().IndexOfIgnoreCase(item.expr->name));
-    key_idx.push_back(idx);
-    asc.push_back(item.ascending);
+    keys.push_back(rel.column(idx));
+    descending.push_back(!item.ascending);
   }
-  std::vector<int64_t> perm(static_cast<size_t>(rel.num_rows()));
-  std::iota(perm.begin(), perm.end(), 0);
-  std::stable_sort(perm.begin(), perm.end(), [&](int64_t a, int64_t b) {
-    for (size_t k = 0; k < key_idx.size(); ++k) {
-      const Bat& col = *rel.column(key_idx[k]);
-      const int c = col.Compare(a, col, b);
-      if (c != 0) return asc[k] ? c < 0 : c > 0;
-    }
-    return false;
-  });
-  return rel.TakeRows(perm);
+  return rel.TakeRows(bat_ops::ArgSort(keys, descending));
 }
 
 Result<Relation> ExecuteSelectImpl(const Database& db, const SelectStmt& stmt,
@@ -647,6 +663,8 @@ Result<Relation> RunStatement(const Database& db, const SelectStmt& stmt,
   }
   ctx->RecordPlanCache(used != nullptr);
   PlanCacheState pcs;
+  ResidentTables resident;
+  pcs.resident = &resident;
   std::vector<QueryCache::CachedOp> recorded;
   QueryCache::TableSnapshot bound_tables;
   if (used != nullptr) {
@@ -693,7 +711,10 @@ Result<Relation> RunStatement(const Database& db, const SelectStmt& stmt,
 
 Result<Relation> ExecuteSelect(const Database& db, const SelectStmt& stmt,
                                ExecContext* ctx) {
-  return ExecuteSelectImpl(db, stmt, ctx, /*pcs=*/nullptr);
+  PlanCacheState uncached;
+  ResidentTables resident;
+  uncached.resident = &resident;
+  return ExecuteSelectImpl(db, stmt, ctx, &uncached);
 }
 
 Result<Relation> ExecuteSelect(const Database& db, const SelectStmt& stmt,
@@ -759,8 +780,10 @@ Status ExplainTableRef(const Database& db, const TableRefPtr& ref,
       return ExplainTableRef(db, ref->right, ctx, depth + 1, lines);
     }
     case TableRef::Kind::kRmaOp: {
+      ResidentTables resident;
       RMA_ASSIGN_OR_RETURN(RmaExprPtr expr,
-                           BuildRmaExpr(db, ref, ctx, /*binds=*/nullptr));
+                           BuildRmaExpr(db, ref, ctx, /*binds=*/nullptr,
+                                        &resident));
       RewriteReport report;
       RMA_ASSIGN_OR_RETURN(PlanNodePtr plan,
                            PlanExpression(expr, ctx->options(), &report));

@@ -32,64 +32,180 @@ namespace {
 // both slower).
 constexpr int64_t kPrefetchDistance = 32;
 
-int CompareRows(const std::vector<BatPtr>& keys, int64_t i, int64_t j) {
-  for (const auto& k : keys) {
-    const int c = k->Compare(i, *k, j);
-    if (c != 0) return c;
+// --- ordering --------------------------------------------------------------
+
+/// The row-at-a-time comparison, kept for key lists the typed core below
+/// does not take (NaN-bearing, sparse or paged keys) and for IsSorted.
+int CompareRows(const std::vector<BatPtr>& keys,
+                const std::vector<bool>& descending, int64_t i, int64_t j) {
+  for (size_t c = 0; c < keys.size(); ++c) {
+    const int r = keys[c]->Compare(i, *keys[c], j);
+    if (r != 0) return descending.empty() || !descending[c] ? r : -r;
   }
   return 0;
 }
 
+bool HasNaN(const double* v, int64_t n) {
+  bool nan = false;
+  for (int64_t i = 0; i < n; ++i) nan |= v[i] != v[i];
+  return nan;
+}
+
+/// `keys` as typed views, or false when some key is read through its
+/// accessors (kBat) or is a double column holding a NaN. Without NaN, `<` is
+/// a strict weak order on every typed column, so the stable lexicographic
+/// permutation is unique and the refine sort below reproduces the
+/// row-at-a-time sort exactly.
+bool TypedKeys(const std::vector<BatPtr>& keys,
+               std::vector<ColumnView>* out) {
+  for (const BatPtr& k : keys) {
+    const ColumnView v(*k);
+    if (v.kind == ColumnView::Kind::kBat ||
+        (v.kind == ColumnView::Kind::kDouble && HasNaN(v.f64, k->size()))) {
+      return false;
+    }
+    out->push_back(v);
+  }
+  return true;
+}
+
+/// Positions [begin, end) of the permutation whose rows tie on every key
+/// column refined so far.
+struct Run {
+  int64_t begin;
+  int64_t end;
+};
+
+/// "Row a orders strictly before row b" on one typed column. A descending
+/// key reverses the test, so its ties are the same as ascending.
+template <typename T, bool kDescending>
+struct Before {
+  const T* v;
+  bool operator()(int64_t a, int64_t b) const {
+    return kDescending ? v[b] < v[a] : v[a] < v[b];
+  }
+};
+
+/// Appends the runs of tied rows (two or more) within `run` to `out`; false
+/// when `run` is out of order, in which case `out` may hold partial runs.
+/// A run already in order thus costs one scan.
+template <typename Cmp>
+bool SplitRun(const Cmp& before, const int64_t* p, Run run,
+              std::vector<Run>* out) {
+  int64_t start = run.begin;
+  for (int64_t i = run.begin + 1; i < run.end; ++i) {
+    if (before(p[i - 1], p[i])) {
+      if (i - start > 1) out->push_back({start, i});
+      start = i;
+    } else if (before(p[i], p[i - 1])) {
+      return false;
+    }
+  }
+  if (run.end - start > 1) out->push_back({start, run.end});
+  return true;
+}
+
+/// Refines `*runs` by one column: each run is split into its runs of tied
+/// rows, after a stable sort on the column if it is out of order.
+template <typename Cmp>
+void RefineColumn(const Cmp& before, std::vector<int64_t>* perm,
+                  std::vector<Run>* runs, std::vector<Run>* next) {
+  int64_t* p = perm->data();
+  next->clear();
+  for (const Run& run : *runs) {
+    const size_t mark = next->size();
+    if (SplitRun(before, p, run, next)) continue;
+    next->resize(mark);
+    std::stable_sort(p + run.begin, p + run.end, before);
+    SplitRun(before, p, run, next);
+  }
+  runs->swap(*next);
+}
+
+template <typename T>
+void RefineTyped(const T* v, bool descending, std::vector<int64_t>* perm,
+                 std::vector<Run>* runs, std::vector<Run>* next) {
+  if (descending) {
+    RefineColumn(Before<T, true>{v}, perm, runs, next);
+  } else {
+    RefineColumn(Before<T, false>{v}, perm, runs, next);
+  }
+}
+
+/// The typed ordering core. Refines `perm`, the identity on entry, into the
+/// stable lexicographic order of `keys` (TypedKeys views), one column at a
+/// time, and returns whether all key rows are distinct: no run of tied rows
+/// is left after the last column.
+bool Refine(const std::vector<ColumnView>& keys,
+            const std::vector<bool>& descending, std::vector<int64_t>* perm) {
+  std::vector<Run> runs;
+  std::vector<Run> next;
+  const auto n = static_cast<int64_t>(perm->size());
+  if (n > 1) runs.push_back({0, n});
+  for (size_t c = 0; c < keys.size() && !runs.empty(); ++c) {
+    const bool desc = !descending.empty() && descending[c];
+    switch (keys[c].kind) {
+      case ColumnView::Kind::kInt64:
+        RefineTyped(keys[c].i64, desc, perm, &runs, &next);
+        break;
+      case ColumnView::Kind::kDouble:
+        RefineTyped(keys[c].f64, desc, perm, &runs, &next);
+        break;
+      case ColumnView::Kind::kString:
+        RefineTyped(keys[c].str, desc, perm, &runs, &next);
+        break;
+      case ColumnView::Kind::kBat:
+        break;  // TypedKeys admits none
+    }
+  }
+  return runs.empty();
+}
+
+/// ArgSort, and with non-null `unique`, whether all key rows are distinct.
+std::vector<int64_t> Sort(const std::vector<BatPtr>& keys,
+                          const std::vector<bool>& descending, bool* unique) {
+  RMA_CHECK(!keys.empty());
+  RMA_CHECK(descending.empty() || descending.size() == keys.size());
+  std::vector<int64_t> perm(static_cast<size_t>(keys[0]->size()));
+  std::iota(perm.begin(), perm.end(), 0);
+  std::vector<ColumnView> typed;
+  if (TypedKeys(keys, &typed)) {
+    const bool distinct = Refine(typed, descending, &perm);
+    if (unique != nullptr) *unique = distinct;
+    return perm;
+  }
+  std::stable_sort(perm.begin(), perm.end(), [&](int64_t a, int64_t b) {
+    return CompareRows(keys, descending, a, b) < 0;
+  });
+  if (unique != nullptr) {
+    *unique = true;
+    for (size_t i = 1; i < perm.size(); ++i) {
+      if (CompareRows(keys, descending, perm[i - 1], perm[i]) == 0) {
+        *unique = false;
+        break;
+      }
+    }
+  }
+  return perm;
+}
+
 }  // namespace
 
-std::vector<int64_t> ArgSort(const std::vector<BatPtr>& keys) {
-  RMA_CHECK(!keys.empty());
-  const int64_t n = keys[0]->size();
-  std::vector<int64_t> perm(static_cast<size_t>(n));
-  std::iota(perm.begin(), perm.end(), 0);
-  if (keys.size() == 1 && keys[0]->type() == DataType::kInt64) {
-    // Fast path: single integer key.
-    auto* b = dynamic_cast<const Int64Bat*>(keys[0].get());
-    if (b != nullptr) {
-      const auto& d = b->data();
-      std::stable_sort(perm.begin(), perm.end(),
-                       [&d](int64_t a, int64_t c) { return d[a] < d[c]; });
-      return perm;
-    }
-  }
-  if (keys.size() == 1 && keys[0]->type() == DataType::kDouble) {
-    auto* b = dynamic_cast<const DoubleBat*>(keys[0].get());
-    if (b != nullptr) {
-      const auto& d = b->data();
-      std::stable_sort(perm.begin(), perm.end(),
-                       [&d](int64_t a, int64_t c) { return d[a] < d[c]; });
-      return perm;
-    }
-  }
-  std::stable_sort(perm.begin(), perm.end(), [&keys](int64_t a, int64_t b) {
-    return CompareRows(keys, a, b) < 0;
-  });
-  return perm;
+std::vector<int64_t> ArgSort(const std::vector<BatPtr>& keys,
+                             const std::vector<bool>& descending) {
+  return Sort(keys, descending, /*unique=*/nullptr);
 }
 
 std::vector<int64_t> ArgSortUnique(const std::vector<BatPtr>& keys,
                                    bool* unique) {
-  std::vector<int64_t> perm = ArgSort(keys);
-  *unique = true;
-  for (size_t i = 1; i < perm.size(); ++i) {
-    if (CompareRows(keys, perm[i - 1], perm[i]) == 0) {
-      *unique = false;
-      break;
-    }
-  }
-  return perm;
+  return Sort(keys, {}, unique);
 }
 
 bool IsSorted(const std::vector<BatPtr>& keys) {
   if (keys.empty()) return true;
   const int64_t n = keys[0]->size();
   for (int64_t i = 1; i < n; ++i) {
-    if (CompareRows(keys, i - 1, i) > 0) return false;
+    if (CompareRows(keys, {}, i - 1, i) > 0) return false;
   }
   return true;
 }
@@ -116,20 +232,39 @@ const double* StableDoubles(const Bat& col) {
   return col.StableData() ? col.ContiguousDoubleData() : nullptr;
 }
 
+ColumnView::ColumnView(const Bat& col) : bat(&col) {
+  if (const auto* b = dynamic_cast<const Int64Bat*>(&col)) {
+    kind = Kind::kInt64;
+    i64 = b->data().data();
+  } else if (const auto* b = dynamic_cast<const StringBat*>(&col)) {
+    kind = Kind::kString;
+    str = b->data().data();
+  } else {
+    f64 = StableDoubles(col);
+    if (f64 != nullptr) kind = Kind::kDouble;
+  }
+}
+
 std::vector<uint64_t> HashKeys(const std::vector<BatPtr>& keys) {
   const int64_t n = keys.empty() ? 0 : keys[0]->size();
   std::vector<uint64_t> h(static_cast<size_t>(n), kHashSeed);
   for (const BatPtr& k : keys) {
-    if (const auto* b = dynamic_cast<const Int64Bat*>(k.get())) {
-      MixColumn(b->data().data(), &h);
-    } else if (const double* d = StableDoubles(*k)) {
-      MixColumn(d, &h);
-    } else if (const auto* s = dynamic_cast<const StringBat*>(k.get())) {
-      MixColumn(s->data().data(), &h);
-    } else {
-      for (int64_t i = 0; i < n; ++i) {
-        MixHash(&h[static_cast<size_t>(i)], k->Hash(i));
-      }
+    const ColumnView v(*k);
+    switch (v.kind) {
+      case ColumnView::Kind::kInt64:
+        MixColumn(v.i64, &h);
+        break;
+      case ColumnView::Kind::kDouble:
+        MixColumn(v.f64, &h);
+        break;
+      case ColumnView::Kind::kString:
+        MixColumn(v.str, &h);
+        break;
+      case ColumnView::Kind::kBat:
+        for (int64_t i = 0; i < n; ++i) {
+          MixHash(&h[static_cast<size_t>(i)], k->Hash(i));
+        }
+        break;
     }
   }
   return h;
@@ -138,28 +273,12 @@ std::vector<uint64_t> HashKeys(const std::vector<BatPtr>& keys) {
 KeyEquals::KeyEquals(const std::vector<BatPtr>& a,
                      const std::vector<BatPtr>& b) {
   RMA_CHECK(a.size() == b.size());
-  pairs_.resize(a.size());
+  pairs_.reserve(a.size());
   for (size_t c = 0; c < a.size(); ++c) {
-    Pair& p = pairs_[c];
-    p.ba = a[c].get();
-    p.bb = b[c].get();
-    const auto* ia = dynamic_cast<const Int64Bat*>(p.ba);
-    const auto* ib = dynamic_cast<const Int64Bat*>(p.bb);
-    const auto* sa = dynamic_cast<const StringBat*>(p.ba);
-    const auto* sb = dynamic_cast<const StringBat*>(p.bb);
-    if (ia != nullptr && ib != nullptr) {
-      p.kind = Kind::kInt64;
-      p.ia = ia->data().data();
-      p.ib = ib->data().data();
-    } else if (sa != nullptr && sb != nullptr) {
-      p.kind = Kind::kString;
-      p.sa = sa->data().data();
-      p.sb = sb->data().data();
-    } else {
-      p.da = StableDoubles(*p.ba);
-      p.db = StableDoubles(*p.bb);
-      if (p.da != nullptr && p.db != nullptr) p.kind = Kind::kDouble;
-    }
+    const ColumnView va(*a[c]);
+    const ColumnView vb(*b[c]);
+    pairs_.push_back(
+        {va, vb, va.kind == vb.kind ? va.kind : ColumnView::Kind::kBat});
   }
 }
 

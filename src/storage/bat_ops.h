@@ -18,13 +18,28 @@ namespace rma {
 /// column-wise key hashing, and double-column arithmetic.
 namespace bat_ops {
 
-/// Stable argsort of rows under the lexicographic order of `keys`
-/// (all BATs must have equal length). Returns the permutation `perm` such
-/// that row `perm[0]` is smallest.
-std::vector<int64_t> ArgSort(const std::vector<BatPtr>& keys);
+/// Stable argsort of rows under the lexicographic order of `keys` (at
+/// least one BAT, all of equal length): row `perm[0]` is smallest.
+/// `descending` is empty (every key ascending) or holds one flag per key; a
+/// descending key orders its column from largest to smallest. Ties keep
+/// their input order.
+///
+/// Keys that are all Int64Bat, StringBat or StableDoubles columns, with no
+/// NaN in a double key, sort by refinement, as MonetDB does: a stable sort
+/// on the first column, then on each next column a re-sort of only the runs
+/// of rows still tied, skipping a run already in order and stopping once no
+/// run is left. Rows already in key order cost one typed scan per column
+/// the runs reach. `<` is a strict weak order on such columns, so this is
+/// the one stable permutation. Any other key list (NaN, sparse or paged
+/// keys) sorts row at a time through Bat::Compare, under which NaN ties
+/// with everything.
+std::vector<int64_t> ArgSort(const std::vector<BatPtr>& keys,
+                             const std::vector<bool>& descending = {});
 
-/// Like ArgSort but also reports via `*unique` whether all key rows are
-/// distinct (the paper requires order schemas to form a key).
+/// Like ArgSort (ascending) but also reports via `*unique` whether all key
+/// rows are distinct (the paper requires order schemas to form a key). The
+/// refine sort reads it off the runs of tied rows left after the last
+/// column.
 std::vector<int64_t> ArgSortUnique(const std::vector<BatPtr>& keys,
                                    bool* unique);
 
@@ -40,19 +55,36 @@ bool IsKey(const std::vector<BatPtr>& keys);
 /// typed loops below read paged columns through their accessors instead.
 const double* StableDoubles(const Bat& col);
 
+/// One column as the typed loops of the ordering core, HashKeys and
+/// KeyEquals read it: the array of an Int64Bat, a StringBat or a
+/// StableDoubles column, or kBat for any other representation (sparse,
+/// paged), which they read through its accessors. Holds raw pointers: the
+/// column must outlive it.
+struct ColumnView {
+  enum class Kind { kInt64, kDouble, kString, kBat };
+
+  explicit ColumnView(const Bat& col);
+
+  Kind kind = Kind::kBat;
+  const int64_t* i64 = nullptr;
+  const double* f64 = nullptr;
+  const std::string* str = nullptr;
+  const Bat* bat = nullptr;
+};
+
 /// Row hashes of `keys` (all BATs of equal length), one typed pass per key
 /// column: `out[i]` folds `std::hash` of each cell of row `i`, in column
 /// order, into an FNV-seeded accumulator, so NaN and ±0.0 bucket exactly as
-/// `std::hash` puts them. Int64Bat, StringBat and StableDoubles columns are
-/// read as arrays; any other representation goes through Bat::Hash.
+/// `std::hash` puts them. Typed columns (ColumnView) are read as arrays; any
+/// other representation goes through Bat::Hash.
 std::vector<uint64_t> HashKeys(const std::vector<BatPtr>& keys);
 
 /// Typed row equality between two equally wide key lists: `(*this)(i, j)`
 /// is true when row `i` of `a` equals row `j` of `b` in every column under
 /// Bat::Compare's test — `<` in neither direction, so NaN equals
-/// everything. Column pairs that are both Int64Bat, both StringBat or both
-/// StableDoubles compare as arrays; any other pair calls Bat::Compare.
-/// Holds raw pointers: the key BATs must outlive it.
+/// everything. Column pairs whose ColumnView kinds agree compare as arrays;
+/// any other pair calls Bat::Compare. Holds raw pointers: the key BATs must
+/// outlive it.
 class KeyEquals {
  public:
   KeyEquals(const std::vector<BatPtr>& a, const std::vector<BatPtr>& b);
@@ -60,21 +92,21 @@ class KeyEquals {
   bool operator()(int64_t i, int64_t j) const {
     for (const Pair& p : pairs_) {
       switch (p.kind) {
-        case Kind::kInt64:
+        case ColumnView::Kind::kInt64:
           // int64 and string orders are total: `!=` is the `<` test.
-          if (p.ia[i] != p.ib[j]) return false;
+          if (p.a.i64[i] != p.b.i64[j]) return false;
           break;
-        case Kind::kDouble: {
-          const double x = p.da[i];
-          const double y = p.db[j];
+        case ColumnView::Kind::kDouble: {
+          const double x = p.a.f64[i];
+          const double y = p.b.f64[j];
           if (x < y || y < x) return false;
           break;
         }
-        case Kind::kString:
-          if (p.sa[i] != p.sb[j]) return false;
+        case ColumnView::Kind::kString:
+          if (p.a.str[i] != p.b.str[j]) return false;
           break;
-        case Kind::kBat:
-          if (p.ba->Compare(i, *p.bb, j) != 0) return false;
+        case ColumnView::Kind::kBat:
+          if (p.a.bat->Compare(i, *p.b.bat, j) != 0) return false;
           break;
       }
     }
@@ -82,17 +114,10 @@ class KeyEquals {
   }
 
  private:
-  enum class Kind { kInt64, kDouble, kString, kBat };
   struct Pair {
-    Kind kind = Kind::kBat;
-    const int64_t* ia = nullptr;
-    const int64_t* ib = nullptr;
-    const double* da = nullptr;
-    const double* db = nullptr;
-    const std::string* sa = nullptr;
-    const std::string* sb = nullptr;
-    const Bat* ba = nullptr;
-    const Bat* bb = nullptr;
+    ColumnView a;
+    ColumnView b;
+    ColumnView::Kind kind;  ///< the kind of `a` and `b` if equal, else kBat
   };
   std::vector<Pair> pairs_;
 };

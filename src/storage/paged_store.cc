@@ -436,7 +436,9 @@ Result<PagedStore::ColumnMeta> PagedStore::WriteColumnLocked(
       }
     } else {
       auto* out = reinterpret_cast<int64_t*>(frame.mutable_data());
-      if (const auto* i64 = dynamic_cast<const Int64Bat*>(&col)) {
+      const auto* i64 = dynamic_cast<const Int64Bat*>(&col);
+      // An empty column's data() may be null, which memcpy must not see.
+      if (i64 != nullptr && n > 0) {
         std::memcpy(out, i64->data().data(), static_cast<size_t>(cm.bytes));
       } else {
         for (int64_t i = 0; i < n; ++i) {

@@ -266,6 +266,32 @@ TEST(QueryCacheTest, AlignedPermutationReusedAcrossElementwiseOps) {
   EXPECT_EQ(second.sort_seconds, 0.0);  // alignment reused, no hash pass
 }
 
+TEST(QueryCacheTest, RelativeAlignmentLeavesRUnsorted) {
+  // Under SortPolicy::kOptimized, add keeps r in physical order, though its
+  // key is shuffled: r's prepared entry is the identity-permutation variant,
+  // and no sorted r is built, since s aligns to it.
+  Rng rng(27);
+  const Relation r = RandomKeyedRelation(2000, 4, &rng);
+  Relation s = RandomKeyedRelation(2000, 4, &rng, -10, 10, "s");
+  ASSERT_OK_AND_ASSIGN(s, s.RenameColumn(0, "id2"));
+  RmaOptions opts;
+  opts.sort = SortPolicy::kOptimized;
+  ExecContext ctx(opts);
+  ASSERT_OK_AND_ASSIGN(
+      const Relation sum,
+      RmaBinary(&ctx, MatrixOp::kAdd, r, {"id"}, s, {"id2"}));
+  const PreparedArgPtr physical =
+      ctx.LookupPrepared(r, {"id"}, /*avoid_sort=*/true);
+  ASSERT_NE(physical, nullptr);
+  EXPECT_TRUE(physical->perm.empty());
+  EXPECT_EQ(ctx.LookupPrepared(r, {"id"}, /*avoid_sort=*/false), nullptr);
+  // r's rows lead the result in their stored order.
+  EXPECT_EQ(sum.column(0).get(), r.column(0).get());
+  ASSERT_OK_AND_ASSIGN(const Relation sorted,
+                       RmaBinary(MatrixOp::kAdd, r, {"id"}, s, {"id2"}));
+  EXPECT_TRUE(RelationsEqualUnordered(sum, sorted, 0.0));
+}
+
 // --- order-part memo ---------------------------------------------------------
 
 TEST(QueryCacheTest, OrderPartGatheredOncePerCachedArgument) {

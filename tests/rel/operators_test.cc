@@ -226,6 +226,10 @@ TEST(Operators, SortByMultipleKeys) {
   EXPECT_EQ(ValueToString(out.Get(2, 0)), "dan");  // ml, 35
 }
 
+TEST(Operators, SortByWithoutKeysIsInvalid) {
+  EXPECT_STATUS(kInvalidArgument, rel::SortBy(People(), {}));
+}
+
 TEST(Operators, UnionAllAndLimit) {
   const Relation r = People();
   const Relation u = rel::UnionAll(r, r).ValueOrDie();

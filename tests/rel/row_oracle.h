@@ -2,7 +2,7 @@
 #define RMA_TESTS_REL_ROW_ORACLE_H_
 
 // Row-at-a-time oracles for the column-at-a-time relational paths: the
-// per-row hash join, group-by, duplicate elimination, key check, key
+// per-row sorts, hash join, group-by, duplicate elimination, key check, key
 // alignment and expression evaluator that the column versions replaced,
 // kept here so the differential tests can prove the new paths
 // bit-identical to them, row order included. One deliberate change from
@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -53,6 +54,78 @@ inline RowIndex BuildRowIndex(const std::vector<BatPtr>& keys) {
   index.reserve(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) index[HashRow(keys, i)].push_back(i);
   return index;
+}
+
+// --- ordering ---------------------------------------------------------------
+
+inline int CompareRows(const std::vector<BatPtr>& keys, int64_t i, int64_t j) {
+  for (const auto& k : keys) {
+    const int c = k->Compare(i, *k, j);
+    if (c != 0) return c;
+  }
+  return 0;
+}
+
+/// bat_ops::ArgSort before the refine sort: std::stable_sort with the
+/// single-key Int64Bat and DoubleBat fast paths, else one virtual
+/// Bat::Compare per key and comparison.
+inline std::vector<int64_t> ArgSort(const std::vector<BatPtr>& keys) {
+  const int64_t n = keys[0]->size();
+  std::vector<int64_t> perm(static_cast<size_t>(n));
+  std::iota(perm.begin(), perm.end(), 0);
+  if (keys.size() == 1 && keys[0]->type() == DataType::kInt64) {
+    auto* b = dynamic_cast<const Int64Bat*>(keys[0].get());
+    if (b != nullptr) {
+      const auto& d = b->data();
+      std::stable_sort(perm.begin(), perm.end(),
+                       [&d](int64_t a, int64_t c) { return d[a] < d[c]; });
+      return perm;
+    }
+  }
+  if (keys.size() == 1 && keys[0]->type() == DataType::kDouble) {
+    auto* b = dynamic_cast<const DoubleBat*>(keys[0].get());
+    if (b != nullptr) {
+      const auto& d = b->data();
+      std::stable_sort(perm.begin(), perm.end(),
+                       [&d](int64_t a, int64_t c) { return d[a] < d[c]; });
+      return perm;
+    }
+  }
+  std::stable_sort(perm.begin(), perm.end(), [&keys](int64_t a, int64_t b) {
+    return CompareRows(keys, a, b) < 0;
+  });
+  return perm;
+}
+
+/// ArgSort plus the uniqueness pass over adjacent sorted rows.
+inline std::vector<int64_t> ArgSortUnique(const std::vector<BatPtr>& keys,
+                                          bool* unique) {
+  std::vector<int64_t> perm = ArgSort(keys);
+  *unique = true;
+  for (size_t i = 1; i < perm.size(); ++i) {
+    if (CompareRows(keys, perm[i - 1], perm[i]) == 0) {
+      *unique = false;
+      break;
+    }
+  }
+  return perm;
+}
+
+/// SQL ORDER BY's own comparator loop before it shared ArgSort: one
+/// virtual Bat::Compare per key and comparison, reversed for DESC keys.
+inline std::vector<int64_t> OrderBy(const std::vector<BatPtr>& keys,
+                                    const std::vector<bool>& asc) {
+  std::vector<int64_t> perm(static_cast<size_t>(keys[0]->size()));
+  std::iota(perm.begin(), perm.end(), 0);
+  std::stable_sort(perm.begin(), perm.end(), [&](int64_t a, int64_t b) {
+    for (size_t k = 0; k < keys.size(); ++k) {
+      const Bat& col = *keys[k];
+      const int c = col.Compare(a, col, b);
+      if (c != 0) return asc[k] ? c < 0 : c > 0;
+    }
+    return false;
+  });
+  return perm;
 }
 
 // --- key check and alignment ------------------------------------------------

@@ -417,6 +417,41 @@ TEST(Database, PagedRepeatedStatementsHitPlanAndPreparedCaches) {
       << "the statements never evicted; shrink pool_bytes";
 }
 
+std::string PlanText(const Relation& plan) {
+  std::string text;
+  for (int64_t i = 0; i < plan.num_rows(); ++i) {
+    text += plan.column(0)->GetString(i);
+    text += '\n';
+  }
+  return text;
+}
+
+/// A self cross product over a store-backed table materializes the table
+/// once for both arguments, so the second argument reuses the first's
+/// prepare and the planner picks SYRK, as over the same table in memory,
+/// with the same bits.
+TEST(Database, PagedSelfCrossProductPlansSyrk) {
+  const std::string dir = TempDir();
+  Rng rng(41);
+  const Relation x = testing::RandomKeyedRelation(20000, 6, &rng, -10, 10, "x");
+  sql::Database mem;
+  ASSERT_OK(mem.Register("x", x));
+  ASSERT_OK_AND_ASSIGN(sql::Database paged,
+                       sql::Database::Open(dir, PagedStoreOptions{}));
+  ASSERT_OK(paged.Register("x", x));
+  const std::string q = "SELECT * FROM CPD(x BY id, x BY id)";
+  for (sql::Database* db : {&mem, &paged}) {
+    ASSERT_OK_AND_ASSIGN(const Relation plan,
+                         db->Execute("EXPLAIN ANALYZE " + q));
+    const std::string text = PlanText(plan);
+    EXPECT_NE(text.find("cpd kernel=dense-syrk"), std::string::npos) << text;
+    EXPECT_NE(text.find("(arg2 prepare cached)"), std::string::npos) << text;
+  }
+  ASSERT_OK_AND_ASSIGN(const Relation want, mem.Execute(q));
+  ASSERT_OK_AND_ASSIGN(const Relation got, paged.Execute(q));
+  EXPECT_TRUE(testing::BitIdentical(got, want));
+}
+
 /// The order-part memo holds malloc-backed columns only: over a paged
 /// relation, two ops served by one cached argument each gather their own
 /// order part, so the cache never holds RAM outside the pool's budget.
