@@ -281,12 +281,10 @@ Result<Relation> RmaBinary(ExecContext* ctx, MatrixOp op, const Relation& r,
   const ArgShape right_shape = ps.Shape();
   const bool self_cross =
       op == MatrixOp::kCpd && internal::SameAppData(pr, ps);
-  OpPlan plan =
-      PlanOp(op, ctx->options(), pr.Shape(), &right_shape, self_cross);
-  // The planner priced the options' budget; an ambient share (a batch or
-  // server admission share) may be smaller. Clamp the shard count so the
-  // recorded plan matches what actually runs.
-  internal::ClampShards(*ctx, &plan);
+  // Planned under the budget the op runs under, so the recorded shard
+  // count is the one that runs.
+  const OpPlan plan = PlanOp(op, ctx->options(), pr.Shape(), &right_shape,
+                             self_cross, ctx->effective_thread_budget());
   ctx->RecordPlan(plan);
   // --- kernel stages ---------------------------------------------------------
   RMA_ASSIGN_OR_RETURN(

@@ -22,11 +22,6 @@ struct OpenOp {
   RmaStats stats;
   bool has_plan = false;
   OpPlan plan;
-  /// Keys this op stored into the shared prepared cache — the evict-on-error
-  /// journal: an op that fails after storing (e.g. a dimension check after a
-  /// successful sort) must not leave entries behind in the database-level
-  /// cache.
-  std::vector<std::string> stored_keys;
 };
 
 /// Deque: stable references across push_back/pop_back (nested brackets).
@@ -149,11 +144,6 @@ void ExecContext::EndOp(bool commit) {
       MutexLock lock(mu_);
       plans_.push_back(std::move(op.plan));
       op_stats_.push_back(op.stats);
-    } else if (!commit && !op.stored_keys.empty()) {
-      // Evict-on-error: drop every prepared entry the failed op published,
-      // so the shared cache never retains state from a statement that
-      // failed mid-prepare.
-      for (const std::string& key : op.stored_keys) cache_->EvictKey(key);
     }
     return;
   }
@@ -264,7 +254,6 @@ PreparedArgPtr ExecContext::LookupPrepared(
 
 void ExecContext::StoreByKey(std::string key, std::vector<uint64_t> relations,
                              PreparedArgPtr prepared) {
-  if (OpenOp* op = TopOpenOp(this)) op->stored_keys.push_back(key);
   CountEvictions(
       cache_->StorePrepared(std::move(key), std::move(relations),
                             std::move(prepared)));

@@ -106,14 +106,6 @@ class ExecContext {
   const RmaOptions& options() const { return opts_; }
   RmaOptions& mutable_options() { return opts_; }
 
-  /// Free-form owner label for stats attribution ("session-7", "batch", ...).
-  /// A long-lived context — a server session's, which accumulates totals()
-  /// and op_stats() across every statement of that session — carries the
-  /// name its numbers should be reported under. Same write discipline as
-  /// mutable_options(): set while no statements execute on the context.
-  void set_attribution(std::string label) { attribution_ = std::move(label); }
-  const std::string& attribution() const { return attribution_; }
-
   /// The cache this context borrows from (never null).
   const std::shared_ptr<QueryCache>& cache() const { return cache_; }
 
@@ -154,10 +146,10 @@ class ExecContext {
   /// Brackets one relational matrix operation for the per-op stats log
   /// (EXPLAIN ANALYZE). Stages recorded between BeginOp and EndOp accrue to
   /// the op entry; EndOp(true) publishes {plan, stats} to plans()/op_stats()
-  /// as one aligned pair. EndOp(false) — the op failed — drops the entry and
-  /// evicts every prepared-argument key the op stored from the shared cache,
-  /// so a statement that fails mid-prepare leaves no entry behind
-  /// (evict-on-error).
+  /// as one aligned pair. EndOp(false) — the op failed — drops the entry.
+  /// Prepared arguments the op stored stay cached: each depends only on an
+  /// immutable relation and an order schema, so it is the entry a
+  /// successful op would store.
   void BeginOp();
   void EndOp(bool commit);
   /// Quiescent-read accessor; see totals().
@@ -219,7 +211,6 @@ class ExecContext {
   /// (RMA_PT_GUARDED_BY cannot attach to a field of an options struct, so
   /// that part of the invariant stays prose).
   RmaOptions opts_;
-  std::string attribution_;
   std::shared_ptr<QueryCache> cache_;
 
   /// Guards totals_, plans_, op_stats_, the plan-cache outcome, and writes
@@ -233,8 +224,8 @@ class ExecContext {
 };
 
 /// RAII bracket for ExecContext::BeginOp/EndOp. Destruction without
-/// Commit() counts as failure: the op's stats entry is dropped and its
-/// cache stores are evicted (see ExecContext::EndOp).
+/// Commit() counts as failure: the op's plan and stats entry are dropped
+/// (see ExecContext::EndOp).
 class ScopedOpStats {
  public:
   explicit ScopedOpStats(ExecContext* ctx) : ctx_(ctx) { ctx_->BeginOp(); }

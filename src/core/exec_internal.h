@@ -1,6 +1,7 @@
 #ifndef RMA_CORE_EXEC_INTERNAL_H_
 #define RMA_CORE_EXEC_INTERNAL_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/exec_context.h"
@@ -76,20 +77,29 @@ Result<std::vector<BatPtr>> DispatchBinary(ExecContext& ctx,
 
 // --- shard_exec.cc ----------------------------------------------------------
 
-/// Clamps plan->shards to the context's effective thread budget at dispatch
-/// time (an ambient admission share may be below the budget the planner
-/// priced). Dropping under two shards reverts the plan to the unsharded
-/// shape (merge kind and stage removed), so the recorded plan always matches
-/// what actually ran.
-void ClampShards(const ExecContext& ctx, OpPlan* plan);
+/// One row-range shard of an operation: its id and the half-open row range
+/// `[begin, end)` it reads, in place, of every argument column.
+struct ShardSpec {
+  int shard = 0;      ///< shard id in [0, total shards)
+  int64_t begin = 0;  ///< first row (inclusive)
+  int64_t end = 0;    ///< past-the-end row
+
+  int64_t rows() const { return end - begin; }
+};
+
+/// Splits `rows` into `shards` contiguous balanced ranges (the first
+/// `rows % shards` ranges hold one extra row). shards must be >= 1; empty
+/// ranges never occur for rows >= shards.
+std::vector<ShardSpec> MakeShardSpecs(int64_t rows, int shards);
 
 /// Kernel-stage execution of a row-range sharded binary operation
 /// (plan.shards > 1): one stage chain per shard on the shared pool under a
-/// split thread budget, then the plan's merge stage — ordered concatenation
-/// for element-wise ops, pairwise tree-reduction of per-shard partials for
-/// cross products. Records summed per-shard stage seconds (CPU-time
-/// semantics), per-shard wall times via ExecContext::RecordShardTimes, and
-/// the merge under Stage::kMerge.
+/// split thread budget, each reading its row range of the argument columns
+/// in place, then the plan's merge stage — ordered concatenation for
+/// element-wise ops, pairwise tree-reduction of per-shard partials for
+/// cross products. Records summed per-shard kernel seconds (and pack
+/// seconds for tree-reduce; CPU-time semantics), per-shard wall times via
+/// ExecContext::RecordShardTimes, and the merge under Stage::kMerge.
 /// Falls back to DispatchBinary if an input unexpectedly lacks contiguous
 /// double storage.
 Result<std::vector<BatPtr>> DispatchShardedBinary(ExecContext& ctx,

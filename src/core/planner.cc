@@ -119,9 +119,11 @@ constexpr double kShardForkElements = 32768.0;
 /// The count is chosen from modeled per-shard costs: candidate s divides the
 /// chosen path's work by s and adds per-shard fork overhead and the
 /// O(cols^2 log s) tree-reduce. Sharding must beat the unsharded estimate by
-/// a margin or the plan stays at shards=1.
+/// a margin or the plan stays at shards=1. The priced count is then capped
+/// by `run_budget` (see PlanOp).
 void DecideShards(const OpInfo& info, const RmaOptions& opts,
-                  const ArgShape& left, const ArgShape* right, OpPlan* plan) {
+                  const ArgShape& left, const ArgShape* right, int run_budget,
+                  OpPlan* plan) {
   MergeKind merge = MergeKind::kNone;
   if (info.union_compatible && right != nullptr && left.contiguous &&
       right->contiguous && left.density >= 1.0 && right->density >= 1.0) {
@@ -167,9 +169,12 @@ void DecideShards(const OpInfo& info, const RmaOptions& opts,
     }
   }
   // Demand a clear win: sharding perturbs tree-reduced rounding and spends
-  // pool slots, so a marginal estimate is not worth it.
-  if (best_s > 1 && best_cost < 0.75 * unsharded) {
-    plan->shards = best_s;
+  // pool slots, so a marginal estimate is not worth it. The winner then runs
+  // under the op's own budget, which an ambient share may hold below the
+  // one priced; a single slot would only pay the merge.
+  const int shards = std::min(best_s, run_budget > 0 ? run_budget : budget);
+  if (shards > 1 && best_cost < 0.75 * unsharded) {
+    plan->shards = shards;
     plan->merge = merge;
     plan->stages.insert(plan->stages.end() - 1, Stage::kMerge);
   }
@@ -234,7 +239,7 @@ std::string OpPlan::DebugString() const {
 }
 
 OpPlan PlanOp(MatrixOp op, const RmaOptions& opts, const ArgShape& left,
-              const ArgShape* right, bool self_cross) {
+              const ArgShape* right, bool self_cross, int run_budget) {
   const OpInfo& info = GetOpInfo(op);
   OpPlan plan;
   plan.op = op;
@@ -300,7 +305,7 @@ OpPlan PlanOp(MatrixOp op, const RmaOptions& opts, const ArgShape& left,
       break;
   }
   plan.stages = StagesFor(plan.kernel);
-  DecideShards(info, opts, left, right, &plan);
+  DecideShards(info, opts, left, right, run_budget, &plan);
   return plan;
 }
 

@@ -60,9 +60,10 @@ struct ArgShape {
   double density = 1.0;   ///< avg non-zero share of the application columns
                           ///< (sparse columns lower it; dense columns are 1)
   /// All application columns expose contiguous double storage (dense double
-  /// columns or their slice views) — the precondition for zero-copy row-range
-  /// sharding. Operation results are always dense doubles, so the default is
-  /// true; MakeArgShape clears it for int64/string/sparse columns.
+  /// columns, paged ones while pinned) — the precondition for row-range
+  /// sharding, whose shards read their ranges in place. Operation results
+  /// are always dense doubles, so the default is true; MakeArgShape clears
+  /// it for int64/string/sparse columns.
   bool contiguous = true;
   /// Bytes a contiguous copy of the application part would occupy.
   int64_t ContiguousBytes() const {
@@ -106,9 +107,15 @@ struct OpPlan {
 /// Chooses the kernel for `op` given the argument shapes and the options'
 /// policy. `right` is null for unary operations; `self_cross` marks
 /// cpd(x, x) over the identical prepared argument (SYRK-eligible).
+/// `run_budget` is the thread budget the operation runs under (the executor
+/// passes ExecContext::effective_thread_budget(); a batch or server
+/// admission share may hold it below the options' own); 0 means the
+/// options' own budget. The shard count is priced on the options' budget
+/// and then capped by the run budget, so the plan is what runs.
 /// This is the single decision point both the executor and EXPLAIN use.
 OpPlan PlanOp(MatrixOp op, const RmaOptions& opts, const ArgShape& left,
-              const ArgShape* right, bool self_cross = false);
+              const ArgShape* right, bool self_cross = false,
+              int run_budget = 0);
 
 // --- expression-level planning (EXPLAIN) ------------------------------------
 

@@ -208,11 +208,6 @@ void QueryCache::EvictRelation(uint64_t relation_identity) {
   }
 }
 
-void QueryCache::EvictKey(const std::string& key) {
-  MutexLock lock(mu_);
-  if (prepared_.erase(key) > 0) ++counters_.evictions;
-}
-
 QueryCache::Counters QueryCache::counters() const {
   MutexLock lock(mu_);
   return counters_;

@@ -21,8 +21,10 @@ namespace rma {
 ///
 ///  - **statement plans**: the rewritten relational-matrix expression trees
 ///    and their lowered physical PlanNode trees, keyed on the normalized
-///    statement text. A repeated identical statement skips parsing-side
-///    binding, the cross-algebra rewriter, and the planner entirely.
+///    statement text. A repeated identical statement skips binding, the
+///    cross-algebra rewriter and the lowering of its PlanNode trees; each
+///    operation still plans its kernel and shard count when it dispatches
+///    (PlanOp in RmaUnary/RmaBinary), hit or miss.
 ///  - **prepared arguments**: order-schema sort permutations and relative-
 ///    alignment permutations, keyed on the stable relation identity token
 ///    (storage/relation.h) plus the order schema. A repeated operation over
@@ -133,13 +135,6 @@ class QueryCache {
   /// Drops every prepared argument derived from the relation with this
   /// identity token (the catalog is replacing or dropping it).
   void EvictRelation(uint64_t relation_identity);
-
-  /// Drops one prepared entry by exact key. Used by the evict-on-error path:
-  /// an operation that fails after publishing a prepared argument takes its
-  /// entries back out so a failed statement leaves no state in the shared
-  /// cache. Missing keys are ignored (a concurrent statement may have
-  /// already evicted or replaced the entry).
-  void EvictKey(const std::string& key);
 
   // --- introspection ---------------------------------------------------------
 

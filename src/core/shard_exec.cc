@@ -2,7 +2,6 @@
 #include <utility>
 
 #include "core/exec_internal.h"
-#include "core/shard.h"
 #include "matrix/blas.h"
 #include "matrix/parallel.h"
 #include "matrix/simd.h"
@@ -21,40 +20,46 @@ namespace {
 /// dispatching thread, so a pool thread's recording would hit the context
 /// totals but miss the op entry.
 struct ShardTiming {
-  double gather = 0;
+  double pack = 0;
   double kernel = 0;
   double wall = 0;
 };
 
-/// The operation's application columns in prepared row order. Identity
-/// permutations hand back the stored columns (zero-copy); sorted arguments
-/// materialize once here, on the dispatching thread, before the fan-out.
-std::vector<BatPtr> AppColumns(const PreparedArg& p) {
-  std::vector<BatPtr> cols;
-  cols.reserve(static_cast<size_t>(p.app_cols()));
+/// The operation's application columns in prepared row order: the BATs,
+/// which own the arrays for the fan-out, and each one's contiguous doubles
+/// (null for a column without them). Identity permutations hand back the
+/// stored columns, a paged one as the frame RmaBinary's residency bracket
+/// pins; sorted arguments gather once here, on the dispatching thread,
+/// before the fan-out.
+struct AppData {
+  std::vector<BatPtr> bats;
+  std::vector<const double*> data;
+};
+
+AppData AppColumns(const PreparedArg& p) {
+  AppData cols;
+  cols.bats.reserve(static_cast<size_t>(p.app_cols()));
+  cols.data.reserve(static_cast<size_t>(p.app_cols()));
   for (int64_t j = 0; j < p.app_cols(); ++j) {
-    cols.push_back(p.AppColumnBat(static_cast<size_t>(j)));
+    cols.bats.push_back(p.AppColumnBat(static_cast<size_t>(j)));
+    cols.data.push_back(cols.bats.back()->ContiguousDoubleData());
   }
   return cols;
 }
 
-bool AllContiguous(const std::vector<BatPtr>& cols) {
-  for (const auto& c : cols) {
-    if (c->ContiguousDoubleData() == nullptr) return false;
-  }
-  return true;
+bool AllContiguous(const AppData& cols) {
+  return std::find(cols.data.begin(), cols.data.end(), nullptr) ==
+         cols.data.end();
 }
 
-/// Row-major pack of one shard's slice views (every column contiguous; the
-/// tiled pack runs at full speed on the offset pointers).
-DenseMatrix PackShard(const std::vector<BatPtr>& cols, int64_t rows) {
-  const int64_t k = static_cast<int64_t>(cols.size());
-  DenseMatrix m(rows, k);
-  std::vector<const double*> ptrs(cols.size());
-  for (size_t j = 0; j < cols.size(); ++j) {
-    ptrs[j] = cols[j]->ContiguousDoubleData();
-  }
-  bat_ops::PackColumnsRowMajor(ptrs.data(), k, nullptr, rows, m.data());
+/// Row-major pack of one shard's row range, read in place from every
+/// column (the tiled pack runs at full speed on the offset pointers).
+DenseMatrix PackShard(const AppData& cols, const ShardSpec& spec) {
+  const int64_t k = static_cast<int64_t>(cols.data.size());
+  DenseMatrix m(spec.rows(), k);
+  std::vector<const double*> ptrs(cols.data.size());
+  for (size_t j = 0; j < ptrs.size(); ++j) ptrs[j] = cols.data[j] + spec.begin;
+  bat_ops::PackColumnsRowMajor(ptrs.data(), k, nullptr, spec.rows(), m.data());
   return m;
 }
 
@@ -75,20 +80,20 @@ void RunShards(const std::vector<ShardSpec>& specs, const Fn& fn) {
 }
 
 /// Commits the joined shard timings from the bracket-owning thread: summed
-/// stage seconds (CPU-time semantics) plus the per-shard walls for EXPLAIN
-/// ANALYZE.
-void RecordShardStages(ExecContext& ctx, Stage work_stage,
+/// pack (gather) and kernel seconds (CPU-time semantics) plus the per-shard
+/// walls for EXPLAIN ANALYZE.
+void RecordShardStages(ExecContext& ctx,
                        const std::vector<ShardTiming>& timings) {
-  double gather = 0;
+  double pack = 0;
   double kernel = 0;
   std::vector<double> walls;
   walls.reserve(timings.size());
   for (const ShardTiming& t : timings) {
-    gather += t.gather;
+    pack += t.pack;
     kernel += t.kernel;
     walls.push_back(t.wall);
   }
-  if (gather > 0) ctx.RecordStage(work_stage, gather);
+  if (pack > 0) ctx.RecordStage(Stage::kGather, pack);
   ctx.RecordStage(Stage::kKernel, kernel);
   ctx.RecordShardTimes(walls);
 }
@@ -105,10 +110,10 @@ Result<std::vector<BatPtr>> DispatchConcat(ExecContext& ctx, const OpPlan& plan,
                                            int per_shard_budget) {
   const MatrixOp op = plan.op;
   const int64_t n = pr.rows;
-  const int64_t k = pr.app_cols();
+  const size_t k = static_cast<size_t>(pr.app_cols());
   Timer timer;
-  const std::vector<BatPtr> left = AppColumns(pr);
-  const std::vector<BatPtr> right = AppColumns(ps);
+  const AppData left = AppColumns(pr);
+  const AppData right = AppColumns(ps);
   if (!AllContiguous(left) || !AllContiguous(right)) {
     return DispatchBinary(ctx, plan, pr, ps);
   }
@@ -116,25 +121,18 @@ Result<std::vector<BatPtr>> DispatchConcat(ExecContext& ctx, const OpPlan& plan,
   // is free for identity permutations, a one-time gather otherwise).
   ctx.RecordStage(Stage::kPrepare, timer.Seconds());
 
-  std::vector<std::vector<double>> out(static_cast<size_t>(k));
+  std::vector<std::vector<double>> out(k);
   for (auto& col : out) col.resize(static_cast<size_t>(n));
-  const std::vector<ShardSpec> specs =
-      MakeShardSpecs(n, plan.shards, pr.split.app_idx);
+  const std::vector<ShardSpec> specs = MakeShardSpecs(n, plan.shards);
   std::vector<ShardTiming> timings(specs.size());
 
   auto run = [&](const ShardSpec& spec) {
     ScopedThreadBudget budget(per_shard_budget);
     Timer wall;
-    Timer stage;
-    const std::vector<BatPtr> la = SliceColumns(left, spec);
-    const std::vector<BatPtr> ra = SliceColumns(right, spec);
-    ShardTiming& t = timings[static_cast<size_t>(spec.shard)];
-    t.gather = stage.Seconds();
-    stage.Restart();
-    for (int64_t j = 0; j < k; ++j) {
-      const double* a = la[static_cast<size_t>(j)]->ContiguousDoubleData();
-      const double* b = ra[static_cast<size_t>(j)]->ContiguousDoubleData();
-      double* o = out[static_cast<size_t>(j)].data() + spec.begin;
+    for (size_t j = 0; j < k; ++j) {
+      const double* a = left.data[j] + spec.begin;
+      const double* b = right.data[j] + spec.begin;
+      double* o = out[j].data() + spec.begin;
       switch (op) {
         case MatrixOp::kAdd:
           simd::Add(a, b, o, spec.rows());
@@ -147,19 +145,20 @@ Result<std::vector<BatPtr>> DispatchConcat(ExecContext& ctx, const OpPlan& plan,
           break;
       }
     }
-    t.kernel = stage.Seconds();
-    t.wall = wall.Seconds();
+    ShardTiming& t = timings[static_cast<size_t>(spec.shard)];
+    t.kernel = wall.Seconds();
+    t.wall = t.kernel;
   };
   RunShards(specs, run);
 
-  RecordShardStages(ctx, Stage::kPrepare, timings);
+  RecordShardStages(ctx, timings);
   timer.Restart();
   std::vector<BatPtr> base = ColumnsToBats(std::move(out));
   ctx.RecordStage(Stage::kMerge, timer.Seconds());
   return base;
 }
 
-/// Cross products under MergeKind::kTreeReduce: each shard gathers its row
+/// Cross products under MergeKind::kTreeReduce: each shard packs its row
 /// range into a contiguous matrix and computes a full-size partial Gram
 /// matrix (X_s^T X_s, cols x cols); the merge sums the partials pairwise
 /// (O(cols^2) per addition, log2(shards) rounds). Summation order is fixed
@@ -174,16 +173,15 @@ Result<std::vector<BatPtr>> DispatchTreeReduce(ExecContext& ctx,
   const bool syrk = plan.kernel == KernelChoice::kDenseSyrk;
   const int64_t n = pr.rows;
   Timer timer;
-  const std::vector<BatPtr> left = AppColumns(pr);
-  const std::vector<BatPtr> right = syrk ? std::vector<BatPtr>{} : AppColumns(ps);
+  const AppData left = AppColumns(pr);
+  const AppData right = syrk ? AppData{} : AppColumns(ps);
   if (!AllContiguous(left) || !AllContiguous(right)) {
     return DispatchBinary(ctx, plan, pr, ps);
   }
   ctx.RecordStage(Stage::kGather, timer.Seconds());
 
   const int S = plan.shards;
-  const std::vector<ShardSpec> specs =
-      MakeShardSpecs(n, S, pr.split.app_idx);
+  const std::vector<ShardSpec> specs = MakeShardSpecs(n, S);
   std::vector<ShardTiming> timings(specs.size());
   std::vector<DenseMatrix> partials(static_cast<size_t>(S));
   std::vector<Status> statuses(static_cast<size_t>(S));
@@ -193,11 +191,9 @@ Result<std::vector<BatPtr>> DispatchTreeReduce(ExecContext& ctx,
     const size_t i = static_cast<size_t>(spec.shard);
     Timer wall;
     Timer stage;
-    const DenseMatrix a = PackShard(SliceColumns(left, spec), spec.rows());
-    const DenseMatrix b =
-        syrk ? DenseMatrix()
-             : PackShard(SliceColumns(right, spec), spec.rows());
-    timings[i].gather = stage.Seconds();
+    const DenseMatrix a = PackShard(left, spec);
+    const DenseMatrix b = syrk ? DenseMatrix() : PackShard(right, spec);
+    timings[i].pack = stage.Seconds();
     stage.Restart();
     if (syrk) {
       partials[i] = blas::Syrk(a);
@@ -215,7 +211,7 @@ Result<std::vector<BatPtr>> DispatchTreeReduce(ExecContext& ctx,
   RunShards(specs, run);
   for (const Status& st : statuses) RMA_RETURN_NOT_OK(st);
 
-  RecordShardStages(ctx, Stage::kGather, timings);
+  RecordShardStages(ctx, timings);
   timer.Restart();
   for (int stride = 1; stride < S; stride *= 2) {
     for (int i = 0; i + stride < S; i += 2 * stride) {
@@ -233,22 +229,20 @@ Result<std::vector<BatPtr>> DispatchTreeReduce(ExecContext& ctx,
 
 }  // namespace
 
-void ClampShards(const ExecContext& ctx, OpPlan* plan) {
-  if (plan->shards <= 1) return;
-  int budget = ctx.effective_thread_budget();
-  if (budget <= 0) budget = DefaultThreadCount();
-  const int shards = std::min(plan->shards, budget);
-  if (shards >= 2) {
-    plan->shards = shards;
-    return;
+std::vector<ShardSpec> MakeShardSpecs(int64_t rows, int shards) {
+  RMA_CHECK(rows >= 0 && shards >= 1);
+  std::vector<ShardSpec> specs(static_cast<size_t>(shards));
+  const int64_t base = rows / shards;
+  const int64_t extra = rows % shards;
+  int64_t begin = 0;
+  for (int s = 0; s < shards; ++s) {
+    ShardSpec& spec = specs[static_cast<size_t>(s)];
+    spec.shard = s;
+    spec.begin = begin;
+    spec.end = begin + base + (s < extra ? 1 : 0);
+    begin = spec.end;
   }
-  // The ambient share left us a single slot: a serial sharded run would only
-  // pay the merge, so revert to the unsharded plan shape.
-  plan->shards = 1;
-  plan->merge = MergeKind::kNone;
-  plan->stages.erase(
-      std::remove(plan->stages.begin(), plan->stages.end(), Stage::kMerge),
-      plan->stages.end());
+  return specs;
 }
 
 Result<std::vector<BatPtr>> DispatchShardedBinary(ExecContext& ctx,

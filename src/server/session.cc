@@ -104,7 +104,6 @@ Session::Session(uint64_t id, Socket sock, Server* server)
   // sink across concurrently executing sessions would race on it.
   options_.stats = nullptr;
   ctx_ = std::make_unique<ExecContext>(options_, db_->query_cache());
-  ctx_->set_attribution("session-" + std::to_string(id_));
 }
 
 Status Session::Handshake() {

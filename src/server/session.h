@@ -24,12 +24,12 @@ class Server;
 ///    kernels never changes another's plans;
 ///  - a persistent ExecContext borrowing the database's QueryCache, so the
 ///    session's statements share plans and prepared arguments with every
-///    other session while per-stage stats accumulate under this session's
-///    attribution label ("session-<id>");
+///    other session while per-stage stats accumulate in this session's own
+///    context;
 ///  - prepared-statement handles: PREPARE parses and normalizes the text
 ///    and returns a handle; EXECUTE_PREPARED replays it through the shared
 ///    plan cache, so the second execution (from *any* session) skips
-///    planning entirely.
+///    binding and rewriting.
 ///
 /// Statements are serial within a session; concurrency comes from sessions.
 /// Error isolation: a statement failure answers with an ERROR frame and the

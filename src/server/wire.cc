@@ -186,7 +186,8 @@ std::string EncodeRowBatch(const Relation& rel, int64_t begin, int64_t count) {
         break;
       }
       case DataType::kDouble: {
-        // Covers DoubleBat and the zero-copy shard slice views alike.
+        // A contiguous tail (DoubleBat) goes out in one copy; any other
+        // representation through the accessor.
         const double* data = bat.ContiguousDoubleData();
         if (data != nullptr && le_host) {
           w.PutRaw(data + begin, static_cast<size_t>(count) * sizeof(double));

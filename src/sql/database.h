@@ -27,7 +27,8 @@ namespace rma::sql {
 /// The database owns a QueryCache shared by every statement it executes:
 /// physical plans are cached per normalized statement text and prepared
 /// arguments (sort/alignment permutations) per relation identity, so a
-/// repeated query skips planning and sorting entirely. A cached plan
+/// repeated query skips binding, rewriting and sorting (each operation
+/// still plans its kernel when it dispatches). A cached plan
 /// records the base tables it reads as an identity snapshot and hits only
 /// while the catalog still maps each of them to the relation it embedded.
 /// Catalog mutations (Register, Drop, CREATE TABLE AS) invalidate **per

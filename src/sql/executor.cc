@@ -385,7 +385,8 @@ Result<Bound> EvaluateTableRef(const Database& db, const TableRefPtr& ref,
       // expression (leaf relations bound at record time — sound because a
       // plan hits only while the catalog maps every table it read to the
       // relation it embedded) evaluates directly, with no rebinding,
-      // rewriting, or planning.
+      // rewriting, or EXPLAIN lowering; each operation still plans its
+      // kernel when it dispatches (RmaUnary/RmaBinary).
       if (pcs != nullptr && pcs->hit != nullptr &&
           pcs->cursor < pcs->hit->ops.size()) {
         const QueryCache::CachedOp& cop = pcs->hit->ops[pcs->cursor++];

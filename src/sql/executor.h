@@ -33,7 +33,8 @@ Result<Relation> ExecuteSelect(const Database& db, const SelectStmt& stmt,
 /// with the current identity snapshot of the statement's read tables; a
 /// plan hits iff its options fingerprint and its snapshot both match. On a
 /// hit, every FROM-clause relational matrix operation is served from its
-/// cached rewritten expression — no rebinding, rewriting, or planning; with
+/// cached rewritten expression — no rebinding, rewriting, or EXPLAIN
+/// lowering (each operation still plans its kernel when it dispatches); with
 /// warm prepared arguments the statement also skips every sort. On a miss
 /// the statement executes normally, the identities it binds are recorded,
 /// and after a successful run the plan is stored for the next one (unless

@@ -65,29 +65,6 @@ template class TypedBat<int64_t>;
 template class TypedBat<double>;
 template class TypedBat<std::string>;
 
-std::string DoubleSliceBat::GetString(int64_t i) const {
-  return FormatDouble(data_[i]);
-}
-
-BatPtr SliceBat(const BatPtr& b, int64_t offset, int64_t count) {
-  RMA_CHECK(b != nullptr);
-  RMA_CHECK(offset >= 0 && count >= 0 && offset + count <= b->size());
-  // A zero-copy view captures a raw pointer, so the source must keep that
-  // pointer valid for the view's lifetime. Paged columns do not (their
-  // frame moves across evict/reload): they take the copying fallback.
-  if (const double* d = b->StableData() ? b->ContiguousDoubleData() : nullptr) {
-    // Re-slicing a slice composes offsets against the original owner so view
-    // chains never deepen.
-    if (const auto* view = dynamic_cast<const DoubleSliceBat*>(b.get())) {
-      return std::make_shared<DoubleSliceBat>(view->owner(), d + offset, count);
-    }
-    return std::make_shared<DoubleSliceBat>(b, d + offset, count);
-  }
-  std::vector<int64_t> idx(static_cast<size_t>(count));
-  for (int64_t i = 0; i < count; ++i) idx[static_cast<size_t>(i)] = offset + i;
-  return b->Take(idx);
-}
-
 BatPtr MakeInt64Bat(std::vector<int64_t> v) {
   return std::make_shared<Int64Bat>(std::move(v));
 }
@@ -115,8 +92,8 @@ BatPtr MakeConstantBat(const Value& v, int64_t n) {
 
 std::vector<double> ToDoubleVector(const Bat& bat) {
   const int64_t n = bat.size();
-  // Fast paths for dense typed columns (including slice views); sparse and
-  // other representations go through the virtual accessor.
+  // Fast paths for dense typed columns; sparse and other representations go
+  // through the virtual accessor.
   if (const double* d = bat.ContiguousDoubleData()) {
     return std::vector<double>(d, d + n);
   }

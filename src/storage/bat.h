@@ -52,10 +52,9 @@ class Bat {
   virtual int64_t ByteSize() const = 0;
 
   /// Raw pointer to `size()` contiguous doubles when this BAT stores its
-  /// tail that way (dense double columns and their row-range slice views),
-  /// else nullptr. The single capability probe behind every raw-data fast
-  /// path (gathers, packs, SIMD kernels), replacing per-site dynamic_casts
-  /// so zero-copy views stay on the fast paths alongside DoubleBat.
+  /// tail that way (dense double columns), else nullptr. The single
+  /// capability probe behind every raw-data fast path: gathers, packs, SIMD
+  /// kernels, and the row ranges sharded operations read in place.
   ///
   /// Out-of-core columns (storage/paged_bat.h) return non-null only while
   /// pinned; see PinData/StableData below.
@@ -72,8 +71,8 @@ class Bat {
 
   /// True when pointers obtained from ContiguousDoubleData() remain valid
   /// for the lifetime of this BAT (malloc-backed columns). Paged columns
-  /// return false — their frame can move across evict/reload — so slice
-  /// views and caches must not capture raw pointers into them.
+  /// return false — their frame can move across evict/reload — so caches
+  /// must not capture raw pointers into them.
   virtual bool StableData() const { return true; }
 };
 
@@ -113,7 +112,7 @@ class TypedBat final : public Bat {
       return 0;
     }
     // `other` holds the same column type in a different representation
-    // (slice view, sparse column): compare through the virtual accessors.
+    // (sparse or paged column): compare through the virtual accessors.
     if constexpr (std::is_same_v<T, std::string>) {
       const std::string a = GetString(i);
       const std::string b = other.GetString(j);
@@ -150,65 +149,6 @@ class TypedBat final : public Bat {
 using Int64Bat = TypedBat<int64_t>;
 using DoubleBat = TypedBat<double>;
 using StringBat = TypedBat<std::string>;
-
-/// Zero-copy row-range view over a contiguous double column. Holds a shared
-/// reference to the owning BAT so the underlying tail array outlives every
-/// shard view; exposes its window through ContiguousDoubleData so slices ride
-/// the same raw-pointer fast paths as DoubleBat. This is the storage half of
-/// the shard boundary (shard id + row range + column set): a view carries no
-/// state beyond {owner, offset pointer, length}, so the same contract can
-/// later be backed by another NUMA pool or process.
-class DoubleSliceBat final : public Bat {
- public:
-  DoubleSliceBat(BatPtr owner, const double* data, int64_t n)
-      : owner_(std::move(owner)), data_(data), n_(n) {}
-
-  DataType type() const override { return DataType::kDouble; }
-  int64_t size() const override { return n_; }
-
-  Value GetValue(int64_t i) const override { return Value(data_[i]); }
-  double GetDouble(int64_t i) const override { return data_[i]; }
-  std::string GetString(int64_t i) const override;
-
-  BatPtr Take(const std::vector<int64_t>& indices) const override {
-    std::vector<double> out;
-    out.reserve(indices.size());
-    for (int64_t idx : indices) out.push_back(data_[idx]);
-    return std::make_shared<DoubleBat>(std::move(out));
-  }
-
-  int Compare(int64_t i, const Bat& other, int64_t j) const override {
-    const double a = data_[i];
-    const double b = other.GetDouble(j);
-    if (a < b) return -1;
-    if (b < a) return 1;
-    return 0;
-  }
-
-  // Matches DoubleBat::Hash so a slice and its base column agree on keys.
-  uint64_t Hash(int64_t i) const override {
-    return std::hash<double>{}(data_[i]);
-  }
-
-  // Views own no tail storage; the kAuto policy should not double-count the
-  // parent's bytes when both appear in one plan.
-  int64_t ByteSize() const override { return 0; }
-
-  const double* ContiguousDoubleData() const override { return data_; }
-
-  const BatPtr& owner() const { return owner_; }
-
- private:
-  BatPtr owner_;
-  const double* data_;
-  int64_t n_;
-};
-
-/// Row-range slice `[offset, offset + count)` of `b`. Zero-copy when the
-/// source exposes contiguous doubles (re-slicing a slice shares the original
-/// owner); otherwise materializes the range via Take. The planner only shards
-/// fully dense plans, so the copy fallback stays off the hot path.
-BatPtr SliceBat(const BatPtr& b, int64_t offset, int64_t count);
 
 /// Convenience constructors.
 BatPtr MakeInt64Bat(std::vector<int64_t> v);

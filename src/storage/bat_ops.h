@@ -50,9 +50,9 @@ bool IsSorted(const std::vector<BatPtr>& keys);
 bool IsKey(const std::vector<BatPtr>& keys);
 
 /// The contiguous doubles of `col` when that pointer stays valid without a
-/// pin (dense double columns and their slice views), else nullptr. A paged
-/// column's frame pointer is only valid under its caller's pin, so the
-/// typed loops below read paged columns through their accessors instead.
+/// pin (dense double columns), else nullptr. A paged column's frame pointer
+/// is only valid under its caller's pin, so the typed loops below read
+/// paged columns through their accessors instead.
 const double* StableDoubles(const Bat& col);
 
 /// One column as the typed loops of the ordering core, HashKeys and

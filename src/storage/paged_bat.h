@@ -20,8 +20,9 @@ namespace rma {
 /// The residency contract mirrors MonetDB's BAT heaps: `PinData` faults the
 /// whole extent into one contiguous frame, `ContiguousDoubleData` returns
 /// that frame only between Pin/Unpin (so the SIMD gather/pack fast paths
-/// work unchanged on pinned paged columns), and `StableData() == false`
-/// tells slice views and caches that the pointer dies with the pin.
+/// work unchanged on pinned paged columns, and a sharded operation's
+/// workers read their row ranges of the pinned frame in place), and
+/// `StableData() == false` tells caches that the pointer dies with the pin.
 ///
 /// Per-element virtual accessors pin transiently, so row-at-a-time layers
 /// remain correct without brackets — but the intended use is the staged

@@ -3,71 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <list>
-#include <map>
 #include <sstream>
-#include <tuple>
-
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace rma {
-
-namespace {
-
-/// Slice-identity memo (see Relation::SliceIdentity). File-scope so the
-/// guarded_by relation is analysis-visible; the containers are leaked on
-/// purpose (identity tokens may be minted during static teardown of cached
-/// plans).
-///
-/// The memo is LRU-bounded: long-running processes slice ever-fresh
-/// relations (every statement result has a new identity), so an unbounded
-/// map would grow with every distinct shard shape ever executed. Evicting
-/// an entry is safe — the next slice of that range mints a fresh token,
-/// which can only cause a prepared-cache miss, never aliasing (tokens are
-/// never reused).
-using SliceKey = std::tuple<uint64_t, int64_t, int64_t>;
-
-struct SliceMemoEntry {
-  uint64_t token = 0;
-  std::list<SliceKey>::iterator lru_it;
-};
-
-constexpr size_t kSliceMemoDefaultCapacity = 4096;
-
-Mutex g_slice_memo_mu;
-size_t g_slice_memo_capacity RMA_GUARDED_BY(g_slice_memo_mu) =
-    kSliceMemoDefaultCapacity;
-std::map<SliceKey, SliceMemoEntry>& SliceMemo()
-    RMA_REQUIRES(g_slice_memo_mu) {
-  static auto* memo = new std::map<SliceKey, SliceMemoEntry>();
-  return *memo;
-}
-/// LRU order over the memo's keys: least recently used at the front.
-std::list<SliceKey>& SliceMemoLru() RMA_REQUIRES(g_slice_memo_mu) {
-  static auto* lru = new std::list<SliceKey>();
-  return *lru;
-}
-
-}  // namespace
-
-size_t SliceIdentityMemoSize() {
-  MutexLock lock(g_slice_memo_mu);
-  return SliceMemo().size();
-}
-
-size_t SetSliceIdentityMemoCapacity(size_t capacity) {
-  MutexLock lock(g_slice_memo_mu);
-  const size_t previous = g_slice_memo_capacity;
-  g_slice_memo_capacity = std::max<size_t>(1, capacity);
-  std::map<SliceKey, SliceMemoEntry>& tokens = SliceMemo();
-  std::list<SliceKey>& lru = SliceMemoLru();
-  while (tokens.size() > g_slice_memo_capacity) {
-    tokens.erase(lru.front());
-    lru.pop_front();
-  }
-  return previous;
-}
 
 uint64_t Relation::NextIdentity() {
   static std::atomic<uint64_t> counter{0};
@@ -98,40 +36,6 @@ Result<Relation> Relation::Make(Schema schema, std::vector<BatPtr> columns,
 Result<BatPtr> Relation::ColumnByName(const std::string& name) const {
   RMA_ASSIGN_OR_RETURN(int idx, schema_.IndexOf(name));
   return columns_[static_cast<size_t>(idx)];
-}
-
-uint64_t Relation::SliceIdentity(uint64_t parent, int64_t begin,
-                                 int64_t count) {
-  // Tokens for slices must be (a) distinct from every whole-relation token and
-  // (b) stable across repeated slicing, or the prepared-argument cache would
-  // either alias a shard with its parent or miss on every run. Memoize fresh
-  // NextIdentity tokens per (parent, range) in the LRU-bounded memo: within
-  // the bound, repeated slicing is stable; past it, the least recently
-  // sliced range re-mints (a cache miss, not a correctness issue).
-  MutexLock lock(g_slice_memo_mu);
-  std::map<SliceKey, SliceMemoEntry>& tokens = SliceMemo();
-  std::list<SliceKey>& lru = SliceMemoLru();
-  const SliceKey key{parent, begin, count};
-  auto [it, inserted] = tokens.try_emplace(key);
-  if (inserted) {
-    it->second.token = NextIdentity();
-    it->second.lru_it = lru.insert(lru.end(), key);
-    while (tokens.size() > g_slice_memo_capacity) {
-      tokens.erase(lru.front());
-      lru.pop_front();
-    }
-  } else {
-    lru.splice(lru.end(), lru, it->second.lru_it);
-  }
-  return it->second.token;
-}
-
-Relation Relation::SliceRows(int64_t begin, int64_t count) const {
-  std::vector<BatPtr> cols;
-  cols.reserve(columns_.size());
-  for (const auto& c : columns_) cols.push_back(SliceBat(c, begin, count));
-  return Relation(schema_, std::move(cols), name_,
-                  SliceIdentity(identity_, begin, count));
 }
 
 Relation Relation::TakeRows(const std::vector<int64_t>& indices) const {

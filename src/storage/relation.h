@@ -60,14 +60,6 @@ class Relation {
   /// New relation with rows at `indices`, in that order (gather all columns).
   Relation TakeRows(const std::vector<int64_t>& indices) const;
 
-  /// Zero-copy row-range view `[begin, begin + count)` for shard execution
-  /// (double columns become DoubleSliceBat views; other column types are
-  /// materialized). The slice's identity token is stable: slicing the same
-  /// (parent, begin, count) again yields the same token, so prepared-argument
-  /// cache entries keyed on shard views stay valid across repeated runs while
-  /// never colliding with the parent's token or another range's.
-  Relation SliceRows(int64_t begin, int64_t count) const;
-
   /// New relation with only the columns at `col_indices`.
   Relation SelectColumns(const std::vector<int>& col_indices) const;
 
@@ -86,15 +78,7 @@ class Relation {
         columns_(std::move(columns)),
         name_(std::move(name)) {}
 
-  Relation(Schema schema, std::vector<BatPtr> columns, std::string name,
-           uint64_t identity)
-      : schema_(std::move(schema)),
-        columns_(std::move(columns)),
-        name_(std::move(name)),
-        identity_(identity) {}
-
   static uint64_t NextIdentity();
-  static uint64_t SliceIdentity(uint64_t parent, int64_t begin, int64_t count);
 
   Schema schema_;
   std::vector<BatPtr> columns_;
@@ -119,16 +103,6 @@ class RelationBuilder {
   Schema schema_;
   std::vector<std::vector<Value>> cells_;  // per column
 };
-
-/// Introspection / test hooks for the process-wide slice-identity memo
-/// behind Relation::SliceRows. The memo is LRU-bounded; evicting an entry
-/// only costs token stability (the next slice of that range mints a fresh
-/// token, i.e. a prepared-cache miss), never correctness.
-size_t SliceIdentityMemoSize();
-/// Overrides the memo capacity (entries; minimum 1). Returns the previous
-/// capacity. Tests shrink it to exercise eviction without minting millions
-/// of tokens; pass the returned value back to restore.
-size_t SetSliceIdentityMemoCapacity(size_t capacity);
 
 /// Equality of contents: same schema, same multiset of rows (order
 /// insensitive — relations are sets of tuples). Doubles compare within eps.

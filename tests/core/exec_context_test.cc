@@ -1,7 +1,7 @@
-// Tests for ExecContext: the evict-on-error audit of the borrowed
-// prepared-argument cache, thread-safe stats aggregation when concurrent
-// operations share one context, and concurrent readers of one cached
-// argument's order part.
+// Tests for ExecContext: what a failed or successful op leaves in the
+// borrowed prepared-argument cache and the plan log, thread-safe stats
+// aggregation when concurrent operations share one context, and concurrent
+// readers of one cached argument's order part.
 #include "core/exec_context.h"
 
 #include <gtest/gtest.h>
@@ -21,34 +21,27 @@ namespace {
 
 using testing::RandomKeyedRelation;
 
-Relation MakeRightRelation(int64_t n, int cols, Rng* rng) {
-  Relation s = RandomKeyedRelation(n, cols, rng, -10.0, 10.0, "s");
-  return s.RenameColumn(0, "id2").ValueOrDie();
-}
+// --- what an op leaves behind ------------------------------------------------
 
-// --- evict-on-error ----------------------------------------------------------
-
-TEST(EvictOnErrorTest, FailedUnaryOpLeavesNoPreparedEntry) {
+TEST(ExecContextTest, FailedOpRecordsNoPlanAndKeepsItsSort) {
   Rng rng(48);
-  // 2 rows x 4 app cols: the sort succeeds (and would be stored), then the
-  // qr row-count check fails. The op must take its cache stores back out.
+  // 2 rows x 4 app cols: the sort succeeds and is stored, then the qr
+  // row-count check fails. The op records no plan and no stats, but its
+  // sort stays cached: it depends only on r and the order schema, so it is
+  // the entry a successful op would store.
   const Relation r = RandomKeyedRelation(2, 4, &rng);
   ExecContext ctx{RmaOptions{}};
   EXPECT_FALSE(RmaUnary(&ctx, MatrixOp::kQqr, r, {"id"}).ok());
-  EXPECT_EQ(ctx.cache()->prepared_entries(), 0u);
   EXPECT_EQ(ctx.plans().size(), 0u);
   EXPECT_EQ(ctx.op_stats().size(), 0u);
-}
-
-TEST(EvictOnErrorTest, FailedBinaryOpLeavesNoPreparedEntries) {
-  Rng rng(49);
-  const Relation r = RandomKeyedRelation(40, 3, &rng);
-  const Relation s = MakeRightRelation(30, 3, &rng);  // row-count mismatch
-  ExecContext ctx{RmaOptions{}};
-  // Both arguments prepare (two sorts stored), then the add shape check
-  // fails.
-  EXPECT_FALSE(RmaBinary(&ctx, MatrixOp::kAdd, r, {"id"}, s, {"id2"}).ok());
-  EXPECT_EQ(ctx.cache()->prepared_entries(), 0u);
+  EXPECT_EQ(ctx.cache()->prepared_entries(), 1u);
+  // A following op over the same relation and order schema hits that sort.
+  RmaStats stats;
+  ctx.mutable_options().stats = &stats;
+  ASSERT_OK(RmaUnary(&ctx, MatrixOp::kTra, r, {"id"}).status());
+  EXPECT_EQ(stats.prepared_cache_hits, 1);
+  EXPECT_EQ(stats.prepared_cache_misses, 0);
+  EXPECT_EQ(ctx.cache()->prepared_entries(), 1u);
 }
 
 TEST(EvictOnErrorTest, SuccessfulOpKeepsPreparedEntry) {
@@ -59,18 +52,6 @@ TEST(EvictOnErrorTest, SuccessfulOpKeepsPreparedEntry) {
   EXPECT_EQ(ctx.cache()->prepared_entries(), 1u);
   ASSERT_EQ(ctx.plans().size(), 1u);
   ASSERT_EQ(ctx.op_stats().size(), 1u);
-}
-
-TEST(EvictOnErrorTest, FailureDoesNotEvictOtherStatementsEntries) {
-  Rng rng(51);
-  const Relation good = RandomKeyedRelation(40, 3, &rng);
-  const Relation bad = RandomKeyedRelation(2, 4, &rng);
-  ExecContext ctx{RmaOptions{}};
-  ASSERT_OK(RmaUnary(&ctx, MatrixOp::kQqr, good, {"id"}).status());
-  EXPECT_FALSE(RmaUnary(&ctx, MatrixOp::kQqr, bad, {"id"}).ok());
-  // Only the failed op's stores were evicted; the earlier committed entry
-  // survives.
-  EXPECT_EQ(ctx.cache()->prepared_entries(), 1u);
 }
 
 // --- thread-safe stats aggregation -------------------------------------------

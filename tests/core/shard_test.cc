@@ -1,8 +1,7 @@
 // Sharded stage execution tests: shard/unshard equivalence (bit-exact for
 // concat-merged element-wise ops, tolerance-bounded for tree-reduced cross
-// products), zero-copy row-range slice views and their identity stability,
-// the planner's shards=1 fallback, dispatch-time clamping, and RmaOptions
-// validation.
+// products), the balanced row-range split, the planner's shards=1 fallback
+// and its cap by the run budget, and RmaOptions validation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +14,6 @@
 #include "core/exec_internal.h"
 #include "core/planner.h"
 #include "core/rma.h"
-#include "core/shard.h"
 #include "matrix/simd.h"
 #include "storage/bat.h"
 #include "test_util.h"
@@ -105,10 +103,10 @@ RmaOptions ShardOpts(int threads = 4) {
   return opts;
 }
 
-// --- shard specs and slice views ---------------------------------------------
+// --- shard specs ------------------------------------------------------------
 
 TEST(ShardSpecTest, BalancedNonDivisibleSplit) {
-  const auto specs = MakeShardSpecs(10, 4);
+  const auto specs = internal::MakeShardSpecs(10, 4);
   ASSERT_EQ(specs.size(), 4u);
   EXPECT_EQ(specs[0].rows(), 3);
   EXPECT_EQ(specs[1].rows(), 3);
@@ -121,60 +119,6 @@ TEST(ShardSpecTest, BalancedNonDivisibleSplit) {
     expected_begin = specs[i].end;
   }
   EXPECT_EQ(expected_begin, 10);
-}
-
-TEST(ShardSpecTest, SliceBatIsZeroCopyAndComposes) {
-  std::vector<double> v(100);
-  for (size_t i = 0; i < v.size(); ++i) v[i] = static_cast<double>(i);
-  const BatPtr base = MakeDoubleBat(std::move(v));
-  const double* base_ptr = base->ContiguousDoubleData();
-  ASSERT_NE(base_ptr, nullptr);
-
-  const BatPtr slice = SliceBat(base, 10, 50);
-  ASSERT_EQ(slice->size(), 50);
-  EXPECT_EQ(slice->ContiguousDoubleData(), base_ptr + 10);  // no copy
-  EXPECT_EQ(slice->GetDouble(0), 10.0);
-
-  // Re-slicing a slice composes offsets against the original owner.
-  const BatPtr nested = SliceBat(slice, 5, 10);
-  ASSERT_EQ(nested->size(), 10);
-  EXPECT_EQ(nested->ContiguousDoubleData(), base_ptr + 15);
-  EXPECT_EQ(nested->GetDouble(9), 24.0);
-}
-
-TEST(ShardSpecTest, SliceBatOnNonDoubleFallsBackToCopy) {
-  const BatPtr ints = MakeInt64Bat({5, 6, 7, 8, 9});
-  const BatPtr slice = SliceBat(ints, 1, 3);
-  ASSERT_EQ(slice->size(), 3);
-  EXPECT_EQ(slice->ContiguousDoubleData(), nullptr);
-  EXPECT_EQ(slice->GetDouble(0), 6.0);
-  EXPECT_EQ(slice->GetDouble(2), 8.0);
-}
-
-TEST(ShardSpecTest, SliceColumnsRespectsShardRange) {
-  const Relation r = DenseKeyed(100, 2, "i", /*seed=*/1);
-  const std::vector<BatPtr> cols = {r.column(1), r.column(2)};
-  const auto specs = MakeShardSpecs(100, 3);
-  const auto sliced = SliceColumns(cols, specs[1]);
-  ASSERT_EQ(sliced.size(), 2u);
-  EXPECT_EQ(sliced[0]->size(), specs[1].rows());
-  EXPECT_EQ(sliced[0]->GetDouble(0), cols[0]->GetDouble(specs[1].begin));
-}
-
-TEST(ShardSpecTest, SliceRowsIdentityStableAndDistinct) {
-  const Relation r = DenseKeyed(64, 2, "i", /*seed=*/2);
-  const Relation a = r.SliceRows(0, 32);
-  const Relation b = r.SliceRows(0, 32);
-  const Relation c = r.SliceRows(32, 32);
-  // Same range twice: same cache identity (prepared-argument cache keys stay
-  // valid across repeated shard lowering). Distinct ranges and the parent
-  // must never collide.
-  EXPECT_EQ(a.identity(), b.identity());
-  EXPECT_NE(a.identity(), r.identity());
-  EXPECT_NE(a.identity(), c.identity());
-  EXPECT_EQ(a.num_rows(), 32);
-  EXPECT_EQ(a.column(1)->GetDouble(5), r.column(1)->GetDouble(5));
-  EXPECT_EQ(c.column(1)->GetDouble(0), r.column(1)->GetDouble(32));
 }
 
 // --- shard/unshard equivalence ----------------------------------------------
@@ -305,7 +249,7 @@ TEST(ShardEquivalenceTest, EndToEndShardedAddMatchesSerial) {
   }
 }
 
-// --- planner decision and dispatch-time clamping -----------------------------
+// --- planner decision and the run-budget cap --------------------------------
 
 ArgShape Shape(int64_t rows, int64_t cols) {
   ArgShape s;
@@ -353,15 +297,22 @@ TEST(ShardPlanTest, ClampRevertsPlanUnderShrunkBudget) {
   RmaOptions opts;
   opts.max_threads = 8;
   const ArgShape a = Shape(400000, 32);
-  OpPlan plan = PlanOp(MatrixOp::kCpd, opts, a, &a, /*self_cross=*/true);
-  ASSERT_GT(plan.shards, 1);
-  RmaOptions narrow;
-  narrow.max_threads = 1;
-  ExecContext ctx(narrow);
-  internal::ClampShards(ctx, &plan);
-  EXPECT_EQ(plan.shards, 1);
-  EXPECT_EQ(plan.merge, MergeKind::kNone);
-  EXPECT_EQ(std::count(plan.stages.begin(), plan.stages.end(), Stage::kMerge),
+  ASSERT_GT(PlanOp(MatrixOp::kCpd, opts, a, &a, /*self_cross=*/true).shards,
+            2);
+  // An op running under a smaller share than the options' budget (a batch
+  // or server admission share) gets at most that many shards...
+  const OpPlan two = PlanOp(MatrixOp::kCpd, opts, a, &a, /*self_cross=*/true,
+                            /*run_budget=*/2);
+  EXPECT_EQ(two.shards, 2);
+  EXPECT_EQ(two.merge, MergeKind::kTreeReduce);
+  EXPECT_EQ(std::count(two.stages.begin(), two.stages.end(), Stage::kMerge),
+            1);
+  // ...and a single slot reverts to the unsharded plan shape.
+  const OpPlan one = PlanOp(MatrixOp::kCpd, opts, a, &a, /*self_cross=*/true,
+                            /*run_budget=*/1);
+  EXPECT_EQ(one.shards, 1);
+  EXPECT_EQ(one.merge, MergeKind::kNone);
+  EXPECT_EQ(std::count(one.stages.begin(), one.stages.end(), Stage::kMerge),
             0);
 }
 

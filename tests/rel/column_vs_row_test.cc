@@ -3,7 +3,7 @@
 // the row-at-a-time oracles they replaced (row_oracle.h). Every result must
 // be bit-identical, row order included, over random relations with
 // duplicate keys, NaN, ±0.0, mixed int64/double join keys, empty inputs, and
-// sparse and slice columns.
+// sparse columns.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -95,22 +95,11 @@ Relation MakeRel(std::vector<Attribute> attrs, std::vector<BatPtr> cols) {
   return Relation::Make(std::move(schema), std::move(cols)).ValueOrDie();
 }
 
-// A double column in one of three representations: DoubleBat, a zero-copy
-// slice view into a wider column, or a sparse column.
+// A double column in one of two representations: DoubleBat or a sparse
+// column.
 BatPtr DoubleColumn(const std::vector<double>& v, int rep) {
-  switch (rep) {
-    case 0:
-      return MakeDoubleBat(v);
-    case 1: {
-      std::vector<double> wide(2, 9.0);
-      wide.insert(wide.end(), v.begin(), v.end());
-      wide.push_back(9.0);
-      return SliceBat(MakeDoubleBat(std::move(wide)), 2,
-                      static_cast<int64_t>(v.size()));
-    }
-    default:
-      return SparseDoubleBat::FromDense(v);
-  }
+  if (rep == 0) return MakeDoubleBat(v);
+  return SparseDoubleBat::FromDense(v);
 }
 
 // Columns: i (int64 in [-3, 3]), d (pool doubles), s (pool strings), k
@@ -130,7 +119,7 @@ Relation RandomRelation(int64_t n, Rng* rng) {
     const int64_t roll = rng->UniformInt(0, 9);
     x[r] = roll == 0 ? kNaN : roll == 1 ? 0.0 : rng->Uniform(-100.0, 100.0);
   }
-  const int rep = static_cast<int>(rng->UniformInt(0, 2));
+  const int rep = static_cast<int>(rng->UniformInt(0, 1));
   std::vector<Attribute> attrs = {
       {"i", DataType::kInt64},
       {"d", DataType::kDouble},
@@ -143,7 +132,7 @@ Relation RandomRelation(int64_t n, Rng* rng) {
       DoubleColumn(d, rep),
       MakeStringBat(std::move(s)),
       MakeInt64Bat(std::move(k)),
-      DoubleColumn(x, 2 - rep),
+      DoubleColumn(x, 1 - rep),
   };
   return MakeRel(std::move(attrs), std::move(cols));
 }

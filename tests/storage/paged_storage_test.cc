@@ -526,19 +526,71 @@ TEST(BufferPool, ConcurrentReadsUnderEvictionPressure) {
   EXPECT_GT(store->pool()->stats().evictions, 0);
 }
 
-TEST(SliceMemo, LruBoundAndStabilityWithinBound) {
-  const size_t previous = SetSliceIdentityMemoCapacity(8);
-  const Relation r = workload::UniformRelation(64, 1, 1, 0.0, 1.0, false, "r");
-  // Within the bound, repeated slicing of the same range is token-stable.
-  EXPECT_EQ(r.SliceRows(0, 8).identity(), r.SliceRows(0, 8).identity());
-  // Slicing more distinct ranges than the capacity keeps the memo bounded.
-  for (int64_t b = 0; b < 32; ++b) r.SliceRows(b, 2);
-  EXPECT_LE(SliceIdentityMemoSize(), size_t{8});
-  // The early entry aged out: re-slicing mints a fresh (but still stable)
-  // token.
-  const uint64_t reminted = r.SliceRows(0, 8).identity();
-  EXPECT_EQ(reminted, r.SliceRows(0, 8).identity());
-  SetSliceIdentityMemoCapacity(previous);
+/// Sharded operations read their row ranges of paged arguments in place,
+/// inside the frames RmaBinary's residency bracket pins: a concat-merged
+/// ADD and a tree-reduced self CPD over two store-backed tables with
+/// sorted keys (identity permutations, so nothing is gathered), in a pool
+/// that holds half their bytes, shard exactly as over their malloc twins
+/// and give the same bits. Runs under TSan in the nightly "Shard" step.
+TEST(Database, PagedShardedOpsMatchMalloc) {
+  const std::string dir = TempDir();
+  const int64_t rows = 100000;
+  const Relation r =
+      workload::UniformRelation(rows, 7, 61, 0.0, 10000.0, true, "r");
+  ASSERT_OK_AND_ASSIGN(
+      const Relation s,
+      workload::UniformRelation(rows, 7, 62, 0.0, 10000.0, true, "s")
+          .RenameColumn(0, "sid"));
+  PagedStoreOptions store_opts;
+  store_opts.pool_bytes = (r.ByteSize() + s.ByteSize()) / 2;
+  ASSERT_OK_AND_ASSIGN(sql::Database db,
+                       sql::Database::Open(dir, store_opts));
+  ASSERT_OK(db.Register("r", r));
+  ASSERT_OK(db.Register("s", s));
+  ASSERT_OK_AND_ASSIGN(const Relation paged_r, db.Get("r"));
+  ASSERT_OK_AND_ASSIGN(const Relation paged_s, db.Get("s"));
+  ASSERT_FALSE(paged_r.column(1)->StableData());
+
+  // Explicit, so a one-thread host plans the same shards.
+  RmaOptions opts;
+  opts.max_threads = 4;
+  // One op on a fresh context: its result, and its shard count in *shards.
+  auto run = [&](MatrixOp op, const Relation& left, const std::string& lk,
+                 const Relation& right, const std::string& rk,
+                 int* shards) -> Result<Relation> {
+    ExecContext ctx(opts);
+    RMA_ASSIGN_OR_RETURN(Relation out,
+                         RmaBinary(&ctx, op, left, {lk}, right, {rk}));
+    *shards = ctx.plans().at(0).shards;
+    return out;
+  };
+  const std::shared_ptr<BufferPool>& pool = db.paged_store()->pool();
+  const int64_t evictions = pool->stats().evictions;
+  int want = 0;
+  int got = 0;
+
+  // Concat-merged ADD.
+  ASSERT_OK_AND_ASSIGN(const Relation want_add,
+                       run(MatrixOp::kAdd, r, "id", s, "sid", &want));
+  ASSERT_OK_AND_ASSIGN(
+      const Relation got_add,
+      run(MatrixOp::kAdd, paged_r, "id", paged_s, "sid", &got));
+  EXPECT_GT(want, 1);
+  EXPECT_EQ(got, want);
+  EXPECT_TRUE(testing::BitIdentical(got_add, want_add));
+
+  // Tree-reduced self cross product (SYRK partials).
+  ASSERT_OK_AND_ASSIGN(const Relation want_cpd,
+                       run(MatrixOp::kCpd, r, "id", r, "id", &want));
+  ASSERT_OK_AND_ASSIGN(
+      const Relation got_cpd,
+      run(MatrixOp::kCpd, paged_r, "id", paged_r, "id", &got));
+  EXPECT_GT(want, 1);
+  EXPECT_EQ(got, want);
+  EXPECT_TRUE(testing::BitIdentical(got_cpd, want_cpd));
+
+  EXPECT_GT(pool->stats().evictions, evictions)
+      << "the operations never evicted; shrink pool_bytes";
 }
 
 }  // namespace
