@@ -212,7 +212,8 @@ bool IsSorted(const std::vector<BatPtr>& keys) {
 
 namespace {
 
-constexpr uint64_t kHashSeed = 1469598103934665603ULL;  // FNV offset basis
+// The row-at-a-time helper's seed (tests/rel/row_oracle.h keeps it).
+constexpr uint64_t kHashSeed = 1469598103934665603ULL;
 
 inline void MixHash(uint64_t* h, uint64_t v) {
   *h ^= v + 0x9e3779b97f4a7c15ULL + (*h << 6) + (*h >> 2);

@@ -74,9 +74,9 @@ struct ColumnView {
 
 /// Row hashes of `keys` (all BATs of equal length), one typed pass per key
 /// column: `out[i]` folds `std::hash` of each cell of row `i`, in column
-/// order, into an FNV-seeded accumulator, so NaN and ±0.0 bucket exactly as
-/// `std::hash` puts them. Typed columns (ColumnView) are read as arrays; any
-/// other representation goes through Bat::Hash.
+/// order, into a seeded hash-combine accumulator, so NaN and ±0.0 bucket
+/// exactly as `std::hash` puts them. Typed columns (ColumnView) are read as
+/// arrays; any other representation goes through Bat::Hash.
 std::vector<uint64_t> HashKeys(const std::vector<BatPtr>& keys);
 
 /// Typed row equality between two equally wide key lists: `(*this)(i, j)`

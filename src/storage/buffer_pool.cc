@@ -1,7 +1,6 @@
 #include "storage/buffer_pool.h"
 
 #include <cstring>
-#include <vector>
 
 #include "util/logging.h"
 
@@ -114,11 +113,9 @@ Result<PinnedExtent> BufferPool::Pin(const std::shared_ptr<Pager>& pager,
   frame->n_pages = n_pages;
   frame->bytes = bytes;
   frame->frame_bytes = frame_bytes;
-  frame->data = std::make_unique<char[]>(static_cast<size_t>(frame_bytes));
-  for (uint64_t i = 0; i < n_pages; ++i) {
-    RMA_RETURN_NOT_OK(pager->ReadPage(
-        first_page + i, frame->data.get() + static_cast<int64_t>(i) * payload));
-  }
+  // Not zero-filled: the read below overwrites every byte of the frame.
+  frame->data.reset(new char[static_cast<size_t>(frame_bytes)]);
+  RMA_RETURN_NOT_OK(pager->ReadPages(first_page, n_pages, frame->data.get()));
   frame->pins = 1;
   Frame* f = frame.get();
   frames_.emplace(key, std::move(frame));
@@ -145,10 +142,11 @@ Result<PinnedExtent> BufferPool::Create(const std::shared_ptr<Pager>& pager,
   frame->n_pages = n_pages;
   frame->bytes = bytes;
   frame->frame_bytes = frame_bytes;
-  frame->data = std::make_unique<char[]>(static_cast<size_t>(frame_bytes));
-  // Zero the page-padding tail so checksummed pages never carry
-  // uninitialized heap bytes to disk.
-  std::memset(frame->data.get(), 0, static_cast<size_t>(frame_bytes));
+  frame->data.reset(new char[static_cast<size_t>(frame_bytes)]);
+  // The caller writes [0, bytes); zero only the page-padding tail so
+  // checksummed pages never carry uninitialized heap bytes to disk.
+  std::memset(frame->data.get() + bytes, 0,
+              static_cast<size_t>(frame_bytes - bytes));
   frame->pins = 1;
   frame->dirty = true;
   Frame* f = frame.get();
@@ -217,11 +215,8 @@ Status BufferPool::EvictForLocked(int64_t need) {
 }
 
 Status BufferPool::WritebackLocked(Frame* f) {
-  const int64_t payload = f->pager->payload_bytes();
-  for (uint64_t i = 0; i < f->n_pages; ++i) {
-    RMA_RETURN_NOT_OK(f->pager->WritePage(
-        f->first_page + i, f->data.get() + static_cast<int64_t>(i) * payload));
-  }
+  RMA_RETURN_NOT_OK(
+      f->pager->WritePages(f->first_page, f->n_pages, f->data.get()));
   f->dirty = false;
   ++stats_.writebacks;
   return Status::OK();

@@ -85,15 +85,19 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
 
   /// Pins pages [first_page, first_page + n_pages) of `pager` as one frame,
-  /// reading + checksum-verifying them on a miss. `bytes` is the logical
-  /// payload size (<= n_pages * payload). The frame keeps the pager alive.
+  /// reading + checksum-verifying them on a miss (one vectored read per
+  /// extent into a frame that is not zero-filled first). `bytes` is the
+  /// logical payload size (<= n_pages * payload). The frame keeps the pager
+  /// alive.
   Result<PinnedExtent> Pin(const std::shared_ptr<Pager>& pager,
                            uint64_t first_page, uint64_t n_pages,
                            int64_t bytes);
 
   /// Allocates a resident, dirty, pinned frame for a freshly allocated
-  /// extent without reading it (bulk-load write-through). Contents are
-  /// undefined until the caller fills mutable_data().
+  /// extent without reading it (bulk-load write-through). Only the
+  /// page-padding tail [bytes, n_pages * payload) is zeroed: the caller must
+  /// write every byte of [0, bytes) through mutable_data() before the frame
+  /// is written back.
   Result<PinnedExtent> Create(const std::shared_ptr<Pager>& pager,
                               uint64_t first_page, uint64_t n_pages,
                               int64_t bytes);

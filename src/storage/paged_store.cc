@@ -22,7 +22,7 @@ namespace {
 
 constexpr char kManifestName[] = "manifest";
 constexpr char kManifestTmpName[] = "manifest.tmp";
-constexpr char kManifestHeader[] = "rma-manifest v1";
+constexpr char kManifestHeader[] = "rma-manifest v2";
 
 std::string Errno(const std::string& what, const std::string& path) {
   return what + " " + path + ": " + std::strerror(errno);
@@ -46,6 +46,14 @@ std::string Escape(const std::string& s) {
   return out;
 }
 
+/// Value of one hex digit, or -1.
+int HexDigit(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  return -1;
+}
+
 Result<std::string> Unescape(const std::string& s) {
   if (s == "%") return std::string();
   std::string out;
@@ -54,13 +62,22 @@ Result<std::string> Unescape(const std::string& s) {
       out += s[i];
       continue;
     }
-    if (i + 2 >= s.size()) {
-      return Status::IoError("manifest: bad escape in '" + s + "'");
-    }
-    out += static_cast<char>(std::stoi(s.substr(i + 1, 2), nullptr, 16));
+    const int hi = i + 2 < s.size() ? HexDigit(s[i + 1]) : -1;
+    const int lo = hi >= 0 ? HexDigit(s[i + 2]) : -1;
+    if (lo < 0) return Status::IoError("manifest: bad escape in '" + s + "'");
+    out += static_cast<char>(hi * 16 + lo);
     i += 2;
   }
   return out;
+}
+
+/// Column files are "c<N>.col" directly inside the data directory. A
+/// manifest may name nothing else, since recovery unlinks the files of a
+/// table it discards.
+bool IsColumnFileName(const std::string& name) {
+  return name.size() > 5 && name[0] == 'c' &&
+         name.compare(name.size() - 4, 4, ".col") == 0 &&
+         name.find('/') == std::string::npos;
 }
 
 const char* TypeName(DataType t) {
@@ -234,6 +251,16 @@ Status PagedStore::WriteManifestLocked() {
 }
 
 Status PagedStore::LoadManifestLocked(const std::string& text) {
+  // The header line is checked before the checksum, so a manifest of
+  // another format version fails Open by its version and nothing is
+  // discarded: this build has no reader for other versions.
+  const std::string header = text.substr(0, text.find('\n'));
+  if (header != kManifestHeader) {
+    return Status::IoError("manifest: unsupported header line '" + header +
+                           "' (this build reads '" + kManifestHeader +
+                           "'; reload older data directories from their "
+                           "source)");
+  }
   const size_t sum_pos = text.rfind("checksum ");
   if (sum_pos == std::string::npos ||
       (sum_pos != 0 && text[sum_pos - 1] != '\n')) {
@@ -248,9 +275,7 @@ Status PagedStore::LoadManifestLocked(const std::string& text) {
 
   std::istringstream in(body);
   std::string line;
-  if (!std::getline(in, line) || line != kManifestHeader) {
-    return Status::IoError("manifest: bad header line '" + line + "'");
-  }
+  std::getline(in, line);  // the header, checked above
   unsigned long long next_id = 0;
   if (!std::getline(in, line) ||
       std::sscanf(line.c_str(), "next-file-id %llu", &next_id) != 1) {
@@ -269,7 +294,7 @@ Status PagedStore::LoadManifestLocked(const std::string& text) {
       if (in_table) return Status::IoError("manifest: nested table record");
       std::string ekey, kw_name, ename, kw_rows;
       words >> ekey >> kw_name >> ename >> kw_rows >> meta.rows;
-      if (!words || kw_name != "name" || kw_rows != "rows") {
+      if (!words || kw_name != "name" || kw_rows != "rows" || meta.rows < 0) {
         return Status::IoError("manifest: bad table line '" + line + "'");
       }
       RMA_ASSIGN_OR_RETURN(key, Unescape(ekey));
@@ -282,7 +307,7 @@ Status PagedStore::LoadManifestLocked(const std::string& text) {
       ColumnMeta c;
       words >> eattr >> tname >> c.file >> c.first_page >> c.n_pages >>
           c.bytes;
-      if (!words) {
+      if (!words || !IsColumnFileName(c.file)) {
         return Status::IoError("manifest: bad col line '" + line + "'");
       }
       RMA_ASSIGN_OR_RETURN(c.attr, Unescape(eattr));
@@ -309,14 +334,21 @@ Result<Relation> PagedStore::LoadTable(const TableMeta& meta) {
   for (const ColumnMeta& c : meta.cols) {
     const std::string path = dir_ + "/" + c.file;
     RMA_ASSIGN_OR_RETURN(std::shared_ptr<Pager> pager, Pager::Open(path));
-    if (pager->page_count() < c.first_page + c.n_pages - 1) {
+    // Pager::Open checked that the file holds every committed page, so an
+    // extent within them bounds each allocation below by the file's size.
+    // Compared without sums or products that manifest values could wrap.
+    const uint64_t committed = pager->page_count();
+    if (c.first_page == 0 || c.n_pages == 0 || c.n_pages > committed ||
+        c.first_page - 1 > committed - c.n_pages) {
       return Status::IoError(path + ": extent exceeds committed page count");
     }
-    const int64_t expected =
+    const int64_t capacity =
+        static_cast<int64_t>(c.n_pages) * pager->payload_bytes();
+    const bool fits =
         (c.type == DataType::kString)
-            ? c.bytes
-            : meta.rows * static_cast<int64_t>(sizeof(double));
-    if (static_cast<int64_t>(c.n_pages) * pager->payload_bytes() < expected) {
+            ? c.bytes <= capacity
+            : meta.rows <= capacity / static_cast<int64_t>(sizeof(double));
+    if (!fits) {
       return Status::IoError(path + ": extent smaller than the column");
     }
     switch (c.type) {
@@ -331,34 +363,35 @@ Result<Relation> PagedStore::LoadTable(const TableMeta& meta) {
       case DataType::kString: {
         // Strings load eagerly (varlen tails have no fixed-stride frame for
         // the kernels to exploit); page checksums verify on this read.
-        std::vector<char> raw(static_cast<size_t>(
-            static_cast<int64_t>(c.n_pages) * pager->payload_bytes()));
-        for (uint64_t i = 0; i < c.n_pages; ++i) {
-          RMA_RETURN_NOT_OK(pager->ReadPage(
-              c.first_page + i,
-              raw.data() + static_cast<int64_t>(i) * pager->payload_bytes()));
-        }
-        const char* p = raw.data();
-        const char* end = raw.data() + c.bytes;
-        uint64_t count = 0;
+        std::vector<char> raw(static_cast<size_t>(capacity));
+        RMA_RETURN_NOT_OK(
+            pager->ReadPages(c.first_page, c.n_pages, raw.data()));
         if (c.bytes < static_cast<int64_t>(sizeof(uint64_t))) {
           return Status::IoError(path + ": string column too short");
         }
+        const char* p = raw.data();
+        const char* const end = raw.data() + c.bytes;
+        uint64_t count = 0;
         std::memcpy(&count, p, sizeof(uint64_t));
         p += sizeof(uint64_t);
         if (count != static_cast<uint64_t>(meta.rows)) {
           return Status::IoError(path + ": string column row-count mismatch");
         }
+        // Every value carries an 8-byte length, which bounds the count
+        // before it sizes the reservation.
+        if (count > static_cast<uint64_t>(end - p) / sizeof(uint64_t)) {
+          return Status::IoError(path + ": string column truncated");
+        }
         std::vector<std::string> values;
         values.reserve(count);
         for (uint64_t i = 0; i < count; ++i) {
           uint64_t len = 0;
-          if (p + sizeof(uint64_t) > end) {
+          if (static_cast<uint64_t>(end - p) < sizeof(uint64_t)) {
             return Status::IoError(path + ": string column truncated");
           }
           std::memcpy(&len, p, sizeof(uint64_t));
           p += sizeof(uint64_t);
-          if (p + len > end) {
+          if (len > static_cast<uint64_t>(end - p)) {
             return Status::IoError(path + ": string column truncated");
           }
           values.emplace_back(p, len);
@@ -403,16 +436,9 @@ Result<PagedStore::ColumnMeta> PagedStore::WriteColumnLocked(
     cm.bytes = static_cast<int64_t>(buf.size());
     cm.n_pages = PagesFor(cm.bytes, payload);
     RMA_ASSIGN_OR_RETURN(cm.first_page, pager->AllocateExtent(cm.n_pages));
-    std::vector<char> page(static_cast<size_t>(payload));
-    for (uint64_t i = 0; i < cm.n_pages; ++i) {
-      std::memset(page.data(), 0, page.size());
-      const size_t off = static_cast<size_t>(i) * static_cast<size_t>(payload);
-      if (off < buf.size()) {
-        std::memcpy(page.data(), buf.data() + off,
-                    std::min(buf.size() - off, page.size()));
-      }
-      RMA_RETURN_NOT_OK(pager->WritePage(cm.first_page + i, page.data()));
-    }
+    // Zero-padded to whole pages, so the extent goes out in one call.
+    buf.resize(static_cast<size_t>(cm.n_pages) * static_cast<size_t>(payload));
+    RMA_RETURN_NOT_OK(pager->WritePages(cm.first_page, cm.n_pages, buf.data()));
     RMA_RETURN_NOT_OK(pager->Sync());
     return cm;
   }
@@ -539,9 +565,8 @@ void PagedStore::CollectGarbageLocked() {
   std::vector<std::string> doomed;
   while (const dirent* e = ::readdir(d)) {
     const std::string name = e->d_name;
-    const bool is_col = name.size() > 5 && name.rfind(".col") == name.size() - 4 &&
-                        name[0] == 'c';
-    if ((is_col && referenced.count(name) == 0) || name == kManifestTmpName) {
+    if ((IsColumnFileName(name) && referenced.count(name) == 0) ||
+        name == kManifestTmpName) {
       doomed.push_back(name);
     }
   }

@@ -2,56 +2,57 @@
 
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <climits>
 #include <cstring>
-#include <vector>
 
 namespace rma {
 
 namespace {
 
-constexpr uint64_t kFormatVersion = 1;
+constexpr uint64_t kFormatVersion = 2;
 constexpr size_t kHeaderFields = 4;  // magic, version, page_bytes, page_count
 constexpr size_t kHeaderBytes = (kHeaderFields + 1) * sizeof(uint64_t);
+// Each page is two iovecs: its [checksum][page id] header and its payload.
+constexpr uint64_t kPagesPerCall = IOV_MAX / 2;
 
 std::string Errno(const std::string& what, const std::string& path) {
   return what + " " + path + ": " + std::strerror(errno);
 }
 
-Status FullPread(int fd, void* buf, size_t n, int64_t off,
-                 const std::string& path) {
-  char* p = static_cast<char*>(buf);
-  while (n > 0) {
-    const ssize_t r = ::pread(fd, p, n, static_cast<off_t>(off));
+/// Moves every byte `iov[0, count)` describes between memory and `fd` at
+/// `off` (pwritev when `write`, else preadv), resuming after partial
+/// transfers. Reaching end of file first is an IoError.
+Status Transfer(bool write, int fd, iovec* iov, int count, int64_t off,
+                const std::string& path) {
+  const char* what = write ? "write" : "read";
+  while (count > 0) {
+    const ssize_t r = write ? ::pwritev(fd, iov, count, static_cast<off_t>(off))
+                            : ::preadv(fd, iov, count, static_cast<off_t>(off));
     if (r < 0) {
       if (errno == EINTR) continue;
-      return Status::IoError(Errno("read", path));
+      return Status::IoError(Errno(what, path));
     }
     if (r == 0) {
-      return Status::IoError("read " + path + ": unexpected end of file");
+      return Status::IoError(std::string(what) + " " + path +
+                             ": unexpected end of file");
     }
-    p += r;
-    n -= static_cast<size_t>(r);
     off += r;
-  }
-  return Status::OK();
-}
-
-Status FullPwrite(int fd, const void* buf, size_t n, int64_t off,
-                  const std::string& path) {
-  const char* p = static_cast<const char*>(buf);
-  while (n > 0) {
-    const ssize_t r = ::pwrite(fd, p, n, static_cast<off_t>(off));
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(Errno("write", path));
+    auto done = static_cast<size_t>(r);
+    while (count > 0 && done >= iov->iov_len) {
+      done -= iov->iov_len;
+      ++iov;
+      --count;
     }
-    p += r;
-    n -= static_cast<size_t>(r);
-    off += r;
+    if (count > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + done;
+      iov->iov_len -= done;
+    }
   }
   return Status::OK();
 }
@@ -61,17 +62,75 @@ uint64_t NextPagerId() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
+// XXH64's published constants, round and merge steps.
+constexpr uint64_t kPrime1 = 0x9E3779B185EBCA87ull;
+constexpr uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
+constexpr uint64_t kPrime3 = 0x165667B19E3779F9ull;
+constexpr uint64_t kPrime4 = 0x85EBCA77C2B2AE63ull;
+constexpr uint64_t kPrime5 = 0x27D4EB2F165667C5ull;
+
+uint64_t Rotl(uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
+
+uint64_t Load64(const unsigned char* p) {
+  uint64_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+uint64_t Round(uint64_t acc, uint64_t input) {
+  return Rotl(acc + input * kPrime2, 31) * kPrime1;
+}
+
+uint64_t MergeRound(uint64_t acc, uint64_t lane) {
+  return (acc ^ Round(0, lane)) * kPrime1 + kPrime4;
+}
+
 }  // namespace
 
 uint64_t StorageChecksum(const void* data, size_t n, uint64_t seed) {
-  // FNV-1a 64, offset basis xored with the seed so independent streams
-  // (header vs. pages vs. manifest) cannot collide trivially.
-  uint64_t h = 0xcbf29ce484222325ull ^ seed;
   const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
+  size_t left = n;
+  uint64_t h = 0;
+  if (left >= 32) {
+    // Four independent lanes over 32-byte stripes.
+    uint64_t v1 = seed + kPrime1 + kPrime2;
+    uint64_t v2 = seed + kPrime2;
+    uint64_t v3 = seed;
+    uint64_t v4 = seed - kPrime1;
+    for (; left >= 32; p += 32, left -= 32) {
+      v1 = Round(v1, Load64(p));
+      v2 = Round(v2, Load64(p + 8));
+      v3 = Round(v3, Load64(p + 16));
+      v4 = Round(v4, Load64(p + 24));
+    }
+    h = Rotl(v1, 1) + Rotl(v2, 7) + Rotl(v3, 12) + Rotl(v4, 18);
+    h = MergeRound(h, v1);
+    h = MergeRound(h, v2);
+    h = MergeRound(h, v3);
+    h = MergeRound(h, v4);
+  } else {
+    h = seed + kPrime5;
   }
+  h += n;
+  for (; left >= 8; p += 8, left -= 8) {
+    h = Rotl(h ^ Round(0, Load64(p)), 27) * kPrime1 + kPrime4;
+  }
+  if (left >= 4) {
+    uint32_t word = 0;
+    std::memcpy(&word, p, sizeof(word));
+    h = Rotl(h ^ (word * kPrime1), 23) * kPrime2 + kPrime3;
+    p += 4;
+    left -= 4;
+  }
+  for (; left > 0; ++p, --left) {
+    h = Rotl(h ^ (*p * kPrime5), 11) * kPrime1;
+  }
+  // Avalanche.
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  h ^= h >> 32;
   return h;
 }
 
@@ -111,17 +170,14 @@ Result<std::shared_ptr<Pager>> Pager::Open(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
   if (fd < 0) return Status::IoError(Errno("open", path));
   uint64_t header[kHeaderFields + 1];
-  Status st = FullPread(fd, header, kHeaderBytes, 0, path);
+  iovec iov{header, kHeaderBytes};
+  Status st = Transfer(/*write=*/false, fd, &iov, 1, 0, path);
   if (!st.ok()) {
     ::close(fd);
     return st;
   }
-  const uint64_t sum =
-      StorageChecksum(header, kHeaderFields * sizeof(uint64_t));
-  if (header[kHeaderFields] != sum) {
-    ::close(fd);
-    return Status::IoError("open " + path + ": header checksum mismatch");
-  }
+  // The version decides the checksum, so it is checked first: a page file
+  // of another version fails by its version, not as a checksum mismatch.
   if (header[0] != kMagic) {
     ::close(fd);
     return Status::IoError("open " + path + ": not an rma page file");
@@ -130,6 +186,12 @@ Result<std::shared_ptr<Pager>> Pager::Open(const std::string& path) {
     ::close(fd);
     return Status::IoError("open " + path + ": unsupported format version " +
                            std::to_string(header[1]));
+  }
+  const uint64_t sum =
+      StorageChecksum(header, kHeaderFields * sizeof(uint64_t));
+  if (header[kHeaderFields] != sum) {
+    ::close(fd);
+    return Status::IoError("open " + path + ": header checksum mismatch");
   }
   const auto page_bytes = static_cast<int64_t>(header[2]);
   if (page_bytes < kMinPageBytes) {
@@ -145,8 +207,9 @@ Result<std::shared_ptr<Pager>> Pager::Open(const std::string& path) {
     ::close(fd);
     return es;
   }
-  if (file_info.st_size < static_cast<off_t>((header[3] + 1) *
-                                      static_cast<uint64_t>(page_bytes))) {
+  // Divided rather than multiplied, so no page count can overflow it.
+  if (header[3] >= static_cast<uint64_t>(file_info.st_size) /
+                       static_cast<uint64_t>(page_bytes)) {
     ::close(fd);
     return Status::IoError("open " + path +
                            ": file shorter than committed page count "
@@ -163,7 +226,8 @@ Status Pager::WriteHeaderLocked() {
   header[3] = page_count_;
   header[kHeaderFields] =
       StorageChecksum(header, kHeaderFields * sizeof(uint64_t));
-  return FullPwrite(fd_, header, kHeaderBytes, 0, path_);
+  iovec iov{header, kHeaderBytes};
+  return Transfer(/*write=*/true, fd_, &iov, 1, 0, path_);
 }
 
 Result<uint64_t> Pager::AllocateExtent(uint64_t n_pages) {
@@ -174,53 +238,74 @@ Result<uint64_t> Pager::AllocateExtent(uint64_t n_pages) {
   return first;
 }
 
-Status Pager::ReadPage(uint64_t page, void* payload) const {
-  {
-    MutexLock lock(mu_);
-    if (page == 0 || page > page_count_) {
-      return Status::OutOfRange("read " + path_ + ": page " +
-                                std::to_string(page) + " of " +
-                                std::to_string(page_count_));
-    }
+Status Pager::CheckRange(const char* what, uint64_t first,
+                         uint64_t n) const {
+  MutexLock lock(mu_);
+  if (first == 0 || n > page_count_ || first - 1 > page_count_ - n) {
+    return Status::OutOfRange(std::string(what) + " " + path_ + ": " +
+                              std::to_string(n) + " pages from page " +
+                              std::to_string(first) + " of " +
+                              std::to_string(page_count_));
   }
-  std::vector<char> buf(static_cast<size_t>(page_bytes_));
-  RMA_RETURN_NOT_OK(FullPread(fd_, buf.data(), buf.size(),
-                              static_cast<int64_t>(page) * page_bytes_,
-                              path_));
-  uint64_t stored_sum = 0;
-  uint64_t stored_id = 0;
-  std::memcpy(&stored_sum, buf.data(), sizeof(uint64_t));
-  std::memcpy(&stored_id, buf.data() + sizeof(uint64_t), sizeof(uint64_t));
-  const uint64_t sum = StorageChecksum(buf.data() + sizeof(uint64_t),
-                                       buf.size() - sizeof(uint64_t));
-  if (stored_sum != sum || stored_id != page) {
-    return Status::IoError("read " + path_ + ": page " + std::to_string(page) +
-                           " checksum mismatch (torn or misdirected write)");
-  }
-  std::memcpy(payload, buf.data() + kPageHeaderBytes,
-              static_cast<size_t>(payload_bytes()));
   return Status::OK();
 }
 
-Status Pager::WritePage(uint64_t page, const void* payload) {
-  {
-    MutexLock lock(mu_);
-    if (page == 0 || page > page_count_) {
-      return Status::OutOfRange("write " + path_ + ": page " +
-                                std::to_string(page) + " of " +
-                                std::to_string(page_count_));
+Status Pager::ReadPages(uint64_t first, uint64_t n, void* payload) const {
+  RMA_RETURN_NOT_OK(CheckRange("read", first, n));
+  const auto payload_len = static_cast<size_t>(payload_bytes());
+  char* out = static_cast<char*>(payload);
+  uint64_t headers[kPagesPerCall][2];  // [checksum][page id] per page
+  iovec iov[2 * kPagesPerCall];
+  for (uint64_t done = 0; done < n;) {
+    const uint64_t batch = std::min(n - done, kPagesPerCall);
+    for (uint64_t i = 0; i < batch; ++i) {
+      iov[2 * i] = {headers[i], kPageHeaderBytes};
+      iov[2 * i + 1] = {out + (done + i) * payload_len, payload_len};
     }
+    RMA_RETURN_NOT_OK(Transfer(/*write=*/false, fd_, iov,
+                               static_cast<int>(2 * batch),
+                               static_cast<int64_t>(first + done) * page_bytes_,
+                               path_));
+    for (uint64_t i = 0; i < batch; ++i) {
+      const uint64_t page = first + done + i;
+      if (headers[i][1] != page ||
+          headers[i][0] != StorageChecksum(out + (done + i) * payload_len,
+                                           payload_len, page)) {
+        return Status::IoError("read " + path_ + ": page " +
+                               std::to_string(page) +
+                               " checksum mismatch (torn or misdirected "
+                               "write)");
+      }
+    }
+    done += batch;
   }
-  std::vector<char> buf(static_cast<size_t>(page_bytes_));
-  const uint64_t id = page;
-  std::memcpy(buf.data() + sizeof(uint64_t), &id, sizeof(uint64_t));
-  std::memcpy(buf.data() + kPageHeaderBytes, payload,
-              static_cast<size_t>(payload_bytes()));
-  const uint64_t sum = StorageChecksum(buf.data() + sizeof(uint64_t),
-                                       buf.size() - sizeof(uint64_t));
-  std::memcpy(buf.data(), &sum, sizeof(uint64_t));
-  return FullPwrite(fd_, buf.data(), buf.size(),
-                    static_cast<int64_t>(page) * page_bytes_, path_);
+  return Status::OK();
+}
+
+Status Pager::WritePages(uint64_t first, uint64_t n, const void* payload) {
+  RMA_RETURN_NOT_OK(CheckRange("write", first, n));
+  const auto payload_len = static_cast<size_t>(payload_bytes());
+  // pwritev only reads the iovecs' memory; iov_base is merely non-const.
+  char* in = const_cast<char*>(static_cast<const char*>(payload));
+  uint64_t headers[kPagesPerCall][2];
+  iovec iov[2 * kPagesPerCall];
+  for (uint64_t done = 0; done < n;) {
+    const uint64_t batch = std::min(n - done, kPagesPerCall);
+    for (uint64_t i = 0; i < batch; ++i) {
+      const uint64_t page = first + done + i;
+      char* page_payload = in + (done + i) * payload_len;
+      headers[i][0] = StorageChecksum(page_payload, payload_len, page);
+      headers[i][1] = page;
+      iov[2 * i] = {headers[i], kPageHeaderBytes};
+      iov[2 * i + 1] = {page_payload, payload_len};
+    }
+    RMA_RETURN_NOT_OK(Transfer(/*write=*/true, fd_, iov,
+                               static_cast<int>(2 * batch),
+                               static_cast<int64_t>(first + done) * page_bytes_,
+                               path_));
+    done += batch;
+  }
+  return Status::OK();
 }
 
 Status Pager::Sync() {

@@ -11,10 +11,12 @@
 
 namespace rma {
 
-/// FNV-1a 64-bit hash, seeded. The storage tier's checksum primitive: cheap,
-/// endian-stable for our fixed little-endian on-disk integers, and good
-/// enough to detect torn writes (the threat model is a crash mid-write, not
-/// an adversary).
+/// XXH64 (Yann Collet's xxHash, 64-bit), seeded. The storage tier's checksum
+/// primitive: four independent multiply-rotate lanes over 8-byte words, so
+/// it runs at about memory speed, and good enough to detect torn writes (the
+/// threat model is a crash mid-write, not an adversary). Words are read in
+/// native order; data directories are little-endian only, where this is the
+/// published XXH64.
 uint64_t StorageChecksum(const void* data, size_t n, uint64_t seed = 0);
 
 /// A fixed-size-page column file.
@@ -28,9 +30,10 @@ uint64_t StorageChecksum(const void* data, size_t n, uint64_t seed = 0);
 ///                   writes and the header write leaves the old, valid
 ///                   header in place.
 ///   page 1..N      data pages: [u64 checksum][u64 page id][payload]. The
-///                   checksum covers the page id and the payload, so a page
-///                   written for one slot can never be mistaken for another
-///                   (detects misdirected writes as well as torn ones).
+///                   checksum is XXH64 of the payload seeded by the page id,
+///                   so a page written for one slot can never be mistaken
+///                   for another (detects misdirected writes as well as torn
+///                   ones).
 ///
 /// Pages are allocated in contiguous *extents* (one extent per column tail)
 /// so a pinned column is one contiguous buffer-pool frame and the SIMD fast
@@ -38,7 +41,12 @@ uint64_t StorageChecksum(const void* data, size_t n, uint64_t seed = 0);
 /// immutable once written (Register replaces the whole file), so the only
 /// allocation pattern is append.
 ///
-/// Thread safety: reads use positional pread and may run concurrently;
+/// Page I/O is vectored: a run of pages moves between the caller's buffer
+/// and the file in one positional preadv/pwritev per up to IOV_MAX / 2 (512)
+/// pages, each page as two iovecs (its 16-byte header from a local array,
+/// its payload in place), so no page is copied through a bounce buffer.
+///
+/// Thread safety: reads use positional preadv and may run concurrently;
 /// allocation and header writes are serialized by `mu_`.
 class Pager {
  public:
@@ -51,8 +59,9 @@ class Pager {
   static Result<std::shared_ptr<Pager>> Create(const std::string& path,
                                                int64_t page_bytes);
 
-  /// Opens an existing page file, verifying the header checksum, magic and
-  /// format version. Data-page checksums are verified lazily on ReadPage.
+  /// Opens an existing page file, verifying its magic, format version (a
+  /// file of another version fails by it) and header checksum. Data-page
+  /// checksums are verified lazily on ReadPages.
   static Result<std::shared_ptr<Pager>> Open(const std::string& path);
 
   ~Pager();
@@ -74,14 +83,17 @@ class Pager {
   /// rewritten + fsynced by the next Sync()).
   Result<uint64_t> AllocateExtent(uint64_t n_pages);
 
-  /// Reads one data page's payload (payload_bytes() bytes) into `payload`,
-  /// verifying the stored checksum; a mismatch is the torn-page signal and
-  /// comes back as IoError mentioning "checksum".
-  Status ReadPage(uint64_t page, void* payload) const;
+  /// Reads the payloads of data pages [first, first + n) into `payload`
+  /// (n * payload_bytes() contiguous bytes, every one overwritten),
+  /// verifying each page's stored checksum and page id; a mismatch is the
+  /// torn- or misdirected-page signal and comes back as IoError mentioning
+  /// "checksum". A short read is an IoError.
+  Status ReadPages(uint64_t first, uint64_t n, void* payload) const;
 
-  /// Writes one data page's payload, stamping [checksum][page id] ahead of
-  /// it. Durable only after Sync().
-  Status WritePage(uint64_t page, const void* payload);
+  /// Writes data pages [first, first + n) from `payload` (n *
+  /// payload_bytes() contiguous bytes), stamping [checksum][page id] ahead
+  /// of each page's payload. Durable only after Sync().
+  Status WritePages(uint64_t first, uint64_t n, const void* payload);
 
   /// fsyncs data pages, then rewrites + fsyncs the header. Ordering matters:
   /// the header's page count is the commit record for AllocateExtent.
@@ -91,6 +103,8 @@ class Pager {
   Pager(std::string path, int fd, int64_t page_bytes, uint64_t page_count);
 
   Status WriteHeaderLocked() RMA_REQUIRES(mu_);
+  /// OutOfRange unless [first, first + n) lies within the committed pages.
+  Status CheckRange(const char* what, uint64_t first, uint64_t n) const;
 
   const std::string path_;
   const int fd_;
