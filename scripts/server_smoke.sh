@@ -2,7 +2,8 @@
 # End-to-end smoke of the server front-end: checks that rma_server refuses
 # a non-numeric or out-of-range flag value with its usage error, starts it
 # on an ephemeral port, drives the Fig. 13 and Fig. 15 workloads through
-# rma_client, asserts the streamed row counts and plan-cache reuse, checks
+# rma_client, asserts the streamed row counts and plan-cache reuse (also
+# from an EXPLAIN ANALYZE spaced unlike the statement it reuses), checks
 # statement-level error isolation and that a statement which traps in
 # hardware (INT64_MIN % -1) answers without taking the server down, then
 # SIGTERMs the server and asserts the drain summary. CI runs this against
@@ -77,6 +78,18 @@ echo "${FIG13}"
 # The second rep replays identical statements: the shared plan cache must hit.
 grep -q "^rows=${ROWS} .*cache=hit" <<<"${FIG13}" \
   || { echo "FAIL: second QQR rep missed the plan cache" >&2; exit 1; }
+
+echo "--- EXPLAIN ANALYZE over the wire ---"
+# Spaced differently from fig13's QQR: the plan cache keys statements by
+# their tokens, so this still hits the plan fig13 cached, and the op line
+# shows the plan the operation ran under.
+EXPLAIN="$("${CLIENT}" --port "${PORT}" \
+  -e "EXPLAIN ANALYZE SELECT * FROM QQR( m BY id );")"
+echo "${EXPLAIN}"
+grep -q 'plan cache: hit' <<<"${EXPLAIN}" \
+  || { echo "FAIL: EXPLAIN ANALYZE missed the plan fig13 cached" >&2; exit 1; }
+grep -q 'op 1: qqr kernel=' <<<"${EXPLAIN}" \
+  || { echo "FAIL: EXPLAIN ANALYZE printed no op 1 plan line" >&2; exit 1; }
 
 echo "--- fig15 workload (prepared) ---"
 FIG15="$("${CLIENT}" --port "${PORT}" --workload fig15 --counts --prepare)"

@@ -120,11 +120,7 @@ void ExecContext::RecordPlan(const OpPlan& plan) {
   if (OpenOp* op = TopOpenOp(this)) {
     op->plan = plan;
     op->has_plan = true;
-    return;
   }
-  MutexLock lock(mu_);
-  plans_.push_back(plan);
-  op_stats_.emplace_back();  // keep plans() and op_stats() aligned
 }
 
 void ExecContext::BeginOp() {
@@ -149,18 +145,9 @@ void ExecContext::EndOp(bool commit) {
   }
 }
 
-void ExecContext::RecordPlanCache(bool hit) {
+void ExecContext::RecordPlanCache(PlanCacheOutcome outcome) {
   MutexLock lock(mu_);
-  plan_outcome_ = hit ? PlanCacheOutcome::kHit : PlanCacheOutcome::kMiss;
-  auto add = [&](RmaStats* stats) {
-    if (hit) {
-      ++stats->plan_cache_hits;
-    } else {
-      ++stats->plan_cache_misses;
-    }
-  };
-  add(&totals_);
-  if (opts_.stats != nullptr) add(opts_.stats);
+  plan_outcome_ = outcome;
 }
 
 ExecContext::PlanCacheOutcome ExecContext::plan_cache_outcome() const {

@@ -134,8 +134,7 @@ class ExecContext {
   }
 
   /// Records the physical plan of the operation this thread has open (it is
-  /// published to plans() when the op commits), or appends directly when no
-  /// op bracket is open.
+  /// published to plans() when the op commits).
   void RecordPlan(const OpPlan& plan);
   /// Quiescent-read accessor; see totals().
   const std::vector<OpPlan>& plans() const {
@@ -158,9 +157,11 @@ class ExecContext {
     return op_stats_;
   }
 
-  /// Statement-level plan-cache provenance, recorded by the SQL layer.
+  /// Plan-cache provenance of the last statement run on this context,
+  /// recorded by the SQL layer for every statement (kNotConsulted for one
+  /// that does not consult the cache, such as DROP TABLE or plain EXPLAIN).
   enum class PlanCacheOutcome { kNotConsulted, kHit, kMiss };
-  void RecordPlanCache(bool hit);
+  void RecordPlanCache(PlanCacheOutcome outcome);
   PlanCacheOutcome plan_cache_outcome() const;
 
   /// Buffer-pool activity attributed to the statement this context just ran:

@@ -47,12 +47,9 @@ struct RmaStats {
   /// ANALYZE) but never folded into aggregate context totals.
   std::vector<double> shard_seconds;
 
-  // Query-cache effectiveness (core/query_cache.h). Plan counters track
-  // whole-statement physical-plan reuse; prepared counters track sort-
-  // permutation / alignment reuse; evictions count cache entries dropped to
-  // stay within the capacity bound.
-  int64_t plan_cache_hits = 0;
-  int64_t plan_cache_misses = 0;
+  // Prepared-argument cache effectiveness (core/query_cache.h): sort-
+  // permutation / alignment reuse, and the entries dropped to stay within
+  // the capacity bound.
   int64_t prepared_cache_hits = 0;
   int64_t prepared_cache_misses = 0;
   int64_t prepared_cache_evictions = 0;

@@ -323,7 +323,12 @@ ArgShape MakeArgShape(const Relation& r, const std::vector<int>& app_idx,
                      ? 1.0
                      : static_cast<double>(sparse->NumNonZero()) /
                            static_cast<double>(shape.rows);
-      if (col->ContiguousDoubleData() == nullptr) shape.contiguous = false;
+      // By representation, not by ContiguousDoubleData(): a paged double
+      // column exposes its data only while pinned, and EXPLAIN plans from
+      // unpinned columns that execution will pin.
+      if (sparse != nullptr || col->type() != DataType::kDouble) {
+        shape.contiguous = false;
+      }
     }
     shape.density = density / static_cast<double>(shape.cols);
   }

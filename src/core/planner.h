@@ -59,11 +59,11 @@ struct ArgShape {
   int64_t cols = 0;       ///< application-schema width
   double density = 1.0;   ///< avg non-zero share of the application columns
                           ///< (sparse columns lower it; dense columns are 1)
-  /// All application columns expose contiguous double storage (dense double
-  /// columns, paged ones while pinned) — the precondition for row-range
-  /// sharding, whose shards read their ranges in place. Operation results
-  /// are always dense doubles, so the default is true; MakeArgShape clears
-  /// it for int64/string/sparse columns.
+  /// All application columns store contiguous doubles (dense double
+  /// columns, and paged ones, which execution pins) — the precondition for
+  /// row-range sharding, whose shards read their ranges in place. Operation
+  /// results are always dense doubles, so the default is true; MakeArgShape
+  /// clears it for int64/string/sparse columns.
   bool contiguous = true;
   /// Bytes a contiguous copy of the application part would occupy.
   int64_t ContiguousBytes() const {

@@ -1,7 +1,6 @@
 #include "core/query_cache.h"
 
 #include <algorithm>
-#include <cctype>
 #include <utility>
 
 namespace rma {
@@ -23,79 +22,6 @@ uint64_t HashMix(uint64_t h, uint64_t v) {
 
 }  // namespace
 
-std::string QueryCache::NormalizeStatement(const std::string& sql) {
-  std::string out;
-  out.reserve(sql.size());
-  char quote = '\0';
-  bool pending_space = false;
-  for (size_t i = 0; i < sql.size(); ++i) {
-    const char c = sql[i];
-    if (quote == '\0' && c == '-' && i + 1 < sql.size() &&
-        sql[i + 1] == '-') {
-      // Line comment: skip to (not past) the newline, which the whitespace
-      // branch then collapses. Comments separate tokens like whitespace and
-      // never reach the key — an apostrophe inside one must not flip the
-      // quote state, and comment-only differences must share an entry.
-      i += 2;
-      while (i < sql.size() && sql[i] != '\n') ++i;
-      --i;  // the loop increment lands on the newline / one-past-end
-      pending_space = true;
-      continue;
-    }
-    if (quote == '\0' && c == '/' && i + 1 < sql.size() &&
-        sql[i + 1] == '*') {
-      // Block comment: skip past the closing */; an unterminated comment
-      // (which the lexer rejects) swallows the rest of the text.
-      i += 2;
-      while (i + 1 < sql.size() && !(sql[i] == '*' && sql[i + 1] == '/')) {
-        ++i;
-      }
-      i = (i + 1 < sql.size()) ? i + 1 : sql.size();
-      pending_space = true;
-      continue;
-    }
-    if (quote != '\0') {
-      out += c;
-      if (c == quote) {
-        // The lexer treats a doubled quote inside a literal as an escaped
-        // quote, not a close; mirror that so quote state cannot
-        // desynchronize (two different literals must never share a key).
-        if (i + 1 < sql.size() && sql[i + 1] == quote) {
-          out += quote;
-          ++i;
-        } else {
-          quote = '\0';
-        }
-      }
-      continue;
-    }
-    if (c == '\'' || c == '"') {
-      if (pending_space && !out.empty()) out += ' ';
-      pending_space = false;
-      quote = c;
-      out += c;
-      continue;
-    }
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      pending_space = true;
-      continue;
-    }
-    if (pending_space && !out.empty()) out += ' ';
-    pending_space = false;
-    out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  while (!out.empty() && (out.back() == ';' || out.back() == ' ')) {
-    out.pop_back();
-  }
-  // EXPLAIN [ANALYZE] is presentation, not plan content: the underlying
-  // statement shares its cache entry with the bare form.
-  for (const char* prefix : {"explain ", "analyze "}) {
-    const size_t len = std::string(prefix).size();
-    if (out.compare(0, len, prefix) == 0) out.erase(0, len);
-  }
-  return out;
-}
-
 uint64_t QueryCache::OptionsFingerprint(const RmaOptions& opts) {
   uint64_t h = 14695981039346656037ULL;  // FNV offset basis
   h = HashMix(h, static_cast<uint64_t>(opts.kernel));
@@ -111,10 +37,10 @@ uint64_t QueryCache::OptionsFingerprint(const RmaOptions& opts) {
 }
 
 QueryCache::StatementPlanPtr QueryCache::LookupPlan(
-    const std::string& normalized, uint64_t options_fingerprint,
+    const std::string& key, uint64_t options_fingerprint,
     const TableSnapshot& tables) {
   MutexLock lock(mu_);
-  auto it = plans_.find(normalized);
+  auto it = plans_.find(key);
   // The single hit rule: same options, same relations.
   if (it == plans_.end() ||
       it->second.plan->options_fingerprint != options_fingerprint ||
@@ -127,11 +53,10 @@ QueryCache::StatementPlanPtr QueryCache::LookupPlan(
   return it->second.plan;
 }
 
-void QueryCache::StorePlan(const std::string& normalized,
-                           StatementPlanPtr plan) {
+void QueryCache::StorePlan(const std::string& key, StatementPlanPtr plan) {
   if (plan == nullptr) return;
   MutexLock lock(mu_);
-  if (plans_.size() >= kMaxPlanEntries && plans_.count(normalized) == 0) {
+  if (plans_.size() >= kMaxPlanEntries && plans_.count(key) == 0) {
     auto victim = plans_.begin();
     for (auto it = plans_.begin(); it != plans_.end(); ++it) {
       if (it->second.last_used < victim->second.last_used) victim = it;
@@ -139,7 +64,7 @@ void QueryCache::StorePlan(const std::string& normalized,
     plans_.erase(victim);
     ++counters_.evictions;
   }
-  plans_[normalized] = PlanEntry{std::move(plan), ++tick_};
+  plans_[key] = PlanEntry{std::move(plan), ++tick_};
 }
 
 void QueryCache::InvalidatePlansForTables(

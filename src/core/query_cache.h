@@ -20,9 +20,9 @@ namespace rma {
 /// derivations across repeated queries:
 ///
 ///  - **statement plans**: the rewritten relational-matrix expression trees
-///    and their lowered physical PlanNode trees, keyed on the normalized
-///    statement text. A repeated identical statement skips binding, the
-///    cross-algebra rewriter and the lowering of its PlanNode trees; each
+///    of a statement, keyed on the plan key the SQL parser builds from the
+///    statement's tokens (sql::Statement::plan_key). A repeated identical
+///    statement skips binding and the cross-algebra rewriter; each
 ///    operation still plans its kernel and shard count when it dispatches
 ///    (PlanOp in RmaUnary/RmaBinary), hit or miss.
 ///  - **prepared arguments**: order-schema sort permutations and relative-
@@ -52,11 +52,9 @@ class QueryCache {
  public:
   /// One cached FROM-clause relational-matrix operation of a statement: the
   /// rewritten expression with leaf relations bound (re-evaluation runs it
-  /// directly) plus the lowered physical plan and the fired rewrite rules
-  /// (EXPLAIN / provenance).
+  /// directly) plus the fired rewrite rules (EXPLAIN ANALYZE provenance).
   struct CachedOp {
     RmaExprPtr rewritten;
-    PlanNodePtr plan;
     std::vector<std::string> rewrites;
   };
 
@@ -88,15 +86,6 @@ class QueryCache {
     int64_t evictions = 0;           ///< entries dropped for capacity/eviction
   };
 
-  /// Canonical form of a statement for plan-cache keying: lower-cased
-  /// outside string literals, whitespace collapsed, `--` line and `/* */`
-  /// block comments stripped (mirroring the lexer, so a comment — even one
-  /// containing an apostrophe — never changes the key or desynchronizes
-  /// quote tracking), a leading EXPLAIN [ANALYZE] prefix and a trailing
-  /// semicolon stripped (so `SELECT …`, `select …;` and
-  /// `EXPLAIN ANALYZE SELECT …` share one plan).
-  static std::string NormalizeStatement(const std::string& sql);
-
   /// Fingerprint of every RmaOptions field that affects plan content. A
   /// changed kernel/sort policy, budget, shard limit or rewrite toggle must
   /// miss, so a cached plan only serves callers that would plan it alike.
@@ -104,17 +93,17 @@ class QueryCache {
 
   // --- statement plans -------------------------------------------------------
 
-  /// Returns the cached plan for `normalized` iff it can serve the caller:
+  /// Returns the cached plan for `key` iff it can serve the caller:
   /// its options fingerprint equals `options_fingerprint` and its identity
   /// snapshot equals `tables`, the caller's current read-set snapshot. Null
   /// (a miss) otherwise. Each call counts one plan hit or miss.
-  StatementPlanPtr LookupPlan(const std::string& normalized,
+  StatementPlanPtr LookupPlan(const std::string& key,
                               uint64_t options_fingerprint,
                               const TableSnapshot& tables);
 
-  /// Stores (or replaces) the plan for `normalized`, evicting the least
-  /// recently used entry when the cache is full.
-  void StorePlan(const std::string& normalized, StatementPlanPtr plan);
+  /// Stores (or replaces) the plan for `key`, evicting the least recently
+  /// used entry when the cache is full.
+  void StorePlan(const std::string& key, StatementPlanPtr plan);
 
   /// Catalog mutation wrote `written` (lower-cased table names): eagerly
   /// drops the plan entries whose recorded read set intersects it. Entries

@@ -176,7 +176,8 @@ Status Session::HandleFrame(const Frame& frame, bool* done) {
       WireReader reader(frame.payload);
       Result<std::string> sql = reader.GetString();
       if (!sql.ok()) return sql.status();  // torn frame: close the session
-      return ExecuteStatement(*sql, done);
+      return ExecuteStatement(
+          [&] { return db_->ExecuteOn(*sql, ctx_.get()); }, done);
     }
     case MessageType::kExecutePrepared: {
       WireReader reader(frame.payload);
@@ -188,7 +189,9 @@ Status Session::HandleFrame(const Frame& frame, bool* done) {
         return SendError(Status::KeyError("unknown prepared statement handle " +
                                           std::to_string(*handle)));
       }
-      return ExecuteStatement(it->second, done);
+      const sql::Statement& stmt = it->second;
+      return ExecuteStatement([&] { return db_->Run(stmt, ctx_.get()); },
+                              done);
     }
     default:
       // A request type this server does not understand is a protocol
@@ -223,17 +226,19 @@ Status Session::HandlePrepare(const std::string& payload) {
   WireReader reader(payload);
   Result<std::string> sql = reader.GetString();
   if (!sql.ok()) return sql.status();
-  // Parse now so a malformed statement fails at PREPARE, not first EXECUTE.
+  // Parse once, here: a malformed statement fails at PREPARE, and every
+  // EXECUTE_PREPARED runs the parsed statement.
   Result<sql::Statement> parsed = sql::Parse(*sql);
   if (!parsed.ok()) return SendError(parsed.status());
   const uint64_t handle = next_handle_++;
-  prepared_[handle] = *sql;
+  prepared_[handle] = std::move(*parsed);
   WireWriter w;
   w.PutU64(handle);
   return SendFrame(sock_, MessageType::kPrepareAck, w.str());
 }
 
-Status Session::ExecuteStatement(const std::string& sql, bool* done) {
+Status Session::ExecuteStatement(
+    const std::function<Result<Relation>()>& run, bool* done) {
   const int share = server_->AdmitStatement();
   if (share == 0) {
     // Draining: refuse the statement and end the session after answering.
@@ -249,7 +254,7 @@ Status Session::ExecuteStatement(const std::string& sql, bool* done) {
     // server's thread budget (further capped by the session's own
     // max_threads via ExecContext::effective_thread_budget).
     ScopedThreadBudget budget_share(share);
-    result = db_->ExecuteOn(sql, ctx_.get());
+    result = run();
   }
   // Release the execution slot before streaming: a slow reader exerts
   // backpressure on its own socket, not on the admission budget.

@@ -2,12 +2,14 @@
 #define RMA_SERVER_SESSION_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 
 #include "core/exec_context.h"
 #include "server/wire.h"
+#include "sql/ast.h"
 #include "sql/database.h"
 #include "util/socket.h"
 
@@ -26,10 +28,11 @@ class Server;
 ///    session's statements share plans and prepared arguments with every
 ///    other session while per-stage stats accumulate in this session's own
 ///    context;
-///  - prepared-statement handles: PREPARE parses and normalizes the text
-///    and returns a handle; EXECUTE_PREPARED replays it through the shared
-///    plan cache, so the second execution (from *any* session) skips
-///    binding and rewriting.
+///  - prepared-statement handles: PREPARE parses the text, keeps the
+///    parsed statement (with its plan key) and returns a handle;
+///    EXECUTE_PREPARED runs that statement without parsing again, through
+///    the shared plan cache, so the second execution (from *any* session)
+///    skips binding and rewriting.
 ///
 /// Statements are serial within a session; concurrency comes from sessions.
 /// Error isolation: a statement failure answers with an ERROR frame and the
@@ -53,8 +56,10 @@ class Session {
   Status HandleFrame(const Frame& frame, bool* done);
   Status HandleSetOption(const std::string& payload);
   Status HandlePrepare(const std::string& payload);
-  /// Admission → execution → streaming for one statement text.
-  Status ExecuteStatement(const std::string& sql, bool* done);
+  /// Admission → execution → streaming for one statement; `run` executes
+  /// it on the session's context.
+  Status ExecuteStatement(const std::function<Result<Relation>()>& run,
+                          bool* done);
   /// RESULT_HEADER + ROW_BATCH* + COMPLETE for `rel`.
   Status StreamResult(const Relation& rel, double seconds);
   /// Best-effort ERROR frame (send failures end the session anyway).
@@ -66,7 +71,7 @@ class Session {
   sql::Database* const db_;
   RmaOptions options_;
   std::unique_ptr<ExecContext> ctx_;
-  std::map<uint64_t, std::string> prepared_;
+  std::map<uint64_t, sql::Statement> prepared_;
   uint64_t next_handle_ = 1;
 };
 

@@ -129,6 +129,13 @@ struct Statement {
   bool analyze = false;     ///< kExplain: EXPLAIN ANALYZE
   bool explain_create = false;  ///< kExplain: the explained statement is a
                                 ///< CREATE TABLE table_name AS select
+  /// Plan-cache key, built by Parse from the statement's tokens: each token
+  /// as its kind plus its spelling, identifiers lower-cased, string
+  /// literals verbatim and length-prefixed, so spacing and comments never
+  /// split an entry and two different token lists never share one. A
+  /// leading EXPLAIN [ANALYZE] and a trailing ';' are left out, so
+  /// `SELECT …`, `select …;` and `EXPLAIN ANALYZE SELECT …` share a plan.
+  std::string plan_key;
 };
 
 }  // namespace rma::sql

@@ -126,86 +126,52 @@ std::vector<std::string> Database::TableNames() const {
 }
 
 Result<Relation> Database::Query(const std::string& sql) const {
-  RMA_ASSIGN_OR_RETURN(SelectStmtPtr stmt, ParseSelect(sql));
+  RMA_ASSIGN_OR_RETURN(const Statement stmt, Parse(sql));
+  if (stmt.kind != Statement::Kind::kSelect) {
+    return Status::ParseError("expected a SELECT statement");
+  }
   ExecContext ctx(rma_options, query_cache_);
-  return ExecuteSelectCached(*this, *stmt,
-                             QueryCache::NormalizeStatement(sql), &ctx);
+  return ExecuteSelectCached(*this, stmt, &ctx);
 }
 
 Result<Relation> Database::Execute(const std::string& sql) {
-  RMA_ASSIGN_OR_RETURN(Statement stmt, Parse(sql));
-  return ExecuteParsed(std::move(stmt), sql);
+  ExecContext ctx(rma_options, query_cache_);
+  return ExecuteOn(sql, &ctx);
 }
 
 Result<Relation> Database::ExecuteOn(const std::string& sql,
                                      ExecContext* ctx) {
-  RMA_ASSIGN_OR_RETURN(Statement stmt, Parse(sql));
+  RMA_ASSIGN_OR_RETURN(const Statement stmt, Parse(sql));
+  return Run(stmt, ctx);
+}
+
+Result<Relation> Database::Run(const Statement& stmt, ExecContext* ctx) {
   switch (stmt.kind) {
     case Statement::Kind::kSelect:
-      return ExecuteSelectCached(*this, *stmt.select,
-                                 QueryCache::NormalizeStatement(sql), ctx);
+      return ExecuteSelectCached(*this, stmt, ctx);
     case Statement::Kind::kCreateTableAs: {
-      RMA_ASSIGN_OR_RETURN(
-          Relation rel,
-          ExecuteSelectCached(*this, *stmt.select,
-                              QueryCache::NormalizeStatement(sql), ctx));
-      RMA_RETURN_NOT_OK(Register(stmt.table_name, rel));
-      return rel;
-    }
-    case Statement::Kind::kDropTable: {
-      RMA_RETURN_NOT_OK(Drop(stmt.table_name));
-      return Relation();
-    }
-    case Statement::Kind::kExplain:
-      return ExplainStatement(*this, stmt, sql, &ctx->options());
-  }
-  return Status::Invalid("unreachable statement kind");
-}
-
-Result<Relation> Database::ExecuteParsed(Statement&& stmt,
-                                         const std::string& sql) {
-  switch (stmt.kind) {
-    case Statement::Kind::kSelect: {
-      ExecContext ctx(rma_options, query_cache_);
-      return ExecuteSelectCached(*this, *stmt.select,
-                                 QueryCache::NormalizeStatement(sql), &ctx);
-    }
-    case Statement::Kind::kCreateTableAs: {
-      // The select consults the plan cache under the full statement text:
+      // The select consults the plan cache under the whole statement's key:
       // invalidation is per-table, so the Register below evicts only plans
       // reading the replaced table — a CTAS whose select reads *other*
-      // tables no longer invalidates itself (or anything else).
-      ExecContext ctx(rma_options, query_cache_);
-      RMA_ASSIGN_OR_RETURN(
-          Relation rel,
-          ExecuteSelectCached(*this, *stmt.select,
-                              QueryCache::NormalizeStatement(sql), &ctx));
+      // tables does not invalidate itself (or anything else).
+      RMA_ASSIGN_OR_RETURN(Relation rel, ExecuteSelectCached(*this, stmt, ctx));
       RMA_RETURN_NOT_OK(Register(stmt.table_name, rel));
       return rel;
     }
-    case Statement::Kind::kDropTable: {
+    case Statement::Kind::kDropTable:
+      ctx->RecordPlanCache(ExecContext::PlanCacheOutcome::kNotConsulted);
       RMA_RETURN_NOT_OK(Drop(stmt.table_name));
       return Relation();
+    case Statement::Kind::kExplain: {
+      ExecContext::PlanCacheOutcome outcome =
+          ExecContext::PlanCacheOutcome::kNotConsulted;
+      Result<Relation> plan =
+          ExplainStatement(*this, stmt, ctx->options(), &outcome);
+      ctx->RecordPlanCache(outcome);
+      return plan;
     }
-    case Statement::Kind::kExplain:
-      return ExplainStatement(*this, stmt, sql);
   }
   return Status::Invalid("unreachable statement kind");
-}
-
-/// Executes one already-parsed batch statement into `results[index]`.
-/// SELECTs go through the plan cache over the batch's shared context; any
-/// other kind routes through ExecuteParsed (which creates its own context
-/// and performs its catalog mutation under the catalog lock).
-void Database::ExecuteBatchStatement(Statement&& stmt, const std::string& sql,
-                                     ExecContext* ctx,
-                                     Result<Relation>* slot) {
-  if (stmt.kind == Statement::Kind::kSelect) {
-    *slot = ExecuteSelectCached(*this, *stmt.select,
-                                QueryCache::NormalizeStatement(sql), ctx);
-  } else {
-    *slot = ExecuteParsed(std::move(stmt), sql);
-  }
 }
 
 namespace {
@@ -307,11 +273,11 @@ std::vector<Result<Relation>> Database::ExecuteBatch(
   const int budget = rma_options.max_threads > 0 ? rma_options.max_threads
                                                  : DefaultThreadCount();
 
-  // One context for the whole batch: concurrent SELECTs share it (it is
-  // internally synchronized and borrows the shared QueryCache), keeping the
-  // plan/prepared caches warm across every statement. Prepared entries are
-  // keyed by column identity, so tables replaced mid-batch cannot serve
-  // stale hits.
+  // One context for the whole batch: concurrent statements of every kind
+  // share it (it is internally synchronized and borrows the shared
+  // QueryCache), keeping the plan/prepared caches warm across every
+  // statement. Prepared entries are keyed by column identity, so tables
+  // replaced mid-batch cannot serve stale hits.
   ExecContext ctx(rma_options, query_cache_);
 
   /// Per-slot: only statement k's task writes errors[k], strictly before its
@@ -326,9 +292,6 @@ std::vector<Result<Relation>> Database::ExecuteBatch(
   // while it is nonzero, which is what keeps the state alive for the push
   // below even when the task beats it.
   std::function<void(size_t)> submit = [&](size_t k) {
-    Statement* stmt = &*parsed[k];
-    const std::string* sql = &statements[k];
-    Result<Relation>* slot = &results[k];
     int share = 1;
     {
       MutexLock lock(state.mu);
@@ -338,13 +301,13 @@ std::vector<Result<Relation>> Database::ExecuteBatch(
       share = state.shares[k];
     }
     ThreadPool::TaskPtr task =
-        ThreadPool::Shared().Submit([&, k, stmt, sql, slot, share] {
+        ThreadPool::Shared().Submit([&, k, share] {
           {
             // The statement's kernels inherit the admission-time share via
             // the ambient ScopedThreadBudget.
             ScopedThreadBudget budget_share(share);
             try {
-              ExecuteBatchStatement(std::move(*stmt), *sql, &ctx, slot);
+              results[k] = Run(*parsed[k], &ctx);
             } catch (...) {
               errors[k] = std::current_exception();
             }

@@ -25,10 +25,11 @@ namespace rma::sql {
 ///   auto v = db.Query("SELECT * FROM INV(rating BY User)");
 ///
 /// The database owns a QueryCache shared by every statement it executes:
-/// physical plans are cached per normalized statement text and prepared
-/// arguments (sort/alignment permutations) per relation identity, so a
-/// repeated query skips binding, rewriting and sorting (each operation
-/// still plans its kernel when it dispatches). A cached plan
+/// statement plans are cached per plan key (sql::Statement::plan_key, built
+/// from the statement's tokens) and prepared arguments (sort/alignment
+/// permutations) per relation identity, so a repeated query skips binding,
+/// rewriting and sorting (each operation still plans its kernel when it
+/// dispatches). A cached plan
 /// records the base tables it reads as an identity snapshot and hits only
 /// while the catalog still maps each of them to the relation it embedded.
 /// Catalog mutations (Register, Drop, CREATE TABLE AS) invalidate **per
@@ -85,27 +86,33 @@ class Database {
 
   std::vector<std::string> TableNames() const;
 
-  /// Runs a SELECT statement and returns the result relation.
+  /// Runs a SELECT statement and returns the result relation; any other
+  /// statement kind is a ParseError.
   Result<Relation> Query(const std::string& sql) const;
 
-  /// Runs any statement. CREATE TABLE ... AS stores and returns the result;
-  /// DROP TABLE returns an empty relation; EXPLAIN [ANALYZE] returns the
-  /// plan rendering.
+  /// Runs any statement on a fresh context (ExecuteOn).
   Result<Relation> Execute(const std::string& sql);
 
-  /// Session-scoped execution: runs one statement on a caller-provided
-  /// context instead of a fresh per-statement one. The context carries the
-  /// caller's options (a server session's per-session RmaOptions) and
-  /// should borrow this database's query cache
-  /// (`ExecContext(opts, db.query_cache())`) so cached plans and prepared
-  /// arguments are shared across sessions while stats accumulate per
-  /// session. SELECT and CREATE TABLE AS consult the plan cache exactly as
-  /// Execute does; EXPLAIN [ANALYZE] honours the context's options but
-  /// renders on a scratch context (its execution section reports the one
-  /// statement, not the session's cumulative totals). Statements on one
-  /// context must be serial (the server runs each session's statements in
-  /// order); different contexts may call this concurrently.
+  /// Parses one statement and runs it on a caller-provided context (Run).
   Result<Relation> ExecuteOn(const std::string& sql, ExecContext* ctx);
+
+  /// The statement runner behind every entry point: runs one parsed
+  /// statement on `ctx`. CREATE TABLE ... AS stores and returns the result;
+  /// DROP TABLE returns an empty relation; EXPLAIN [ANALYZE] returns the
+  /// plan rendering. The context carries the caller's options (a server
+  /// session's per-session RmaOptions) and should borrow this database's
+  /// query cache (`ExecContext(opts, db.query_cache())`) so cached plans
+  /// and prepared arguments are shared across sessions while stats
+  /// accumulate per context. SELECT and CREATE TABLE AS consult the plan
+  /// cache under `stmt.plan_key`; EXPLAIN [ANALYZE] honours the context's
+  /// options but renders on a scratch context (its execution section
+  /// reports the one statement, not the context's cumulative totals).
+  /// Every statement records its plan-cache outcome on `ctx`
+  /// (kNotConsulted for DROP TABLE and plain EXPLAIN). Statements whose
+  /// outcome or stats a caller reads must run serially on their context
+  /// (the server runs each session's statements in order); different
+  /// contexts may run concurrently.
+  Result<Relation> Run(const Statement& stmt, ExecContext* ctx);
 
   /// Executes `statements`, returning one Result per statement (aligned
   /// with the input; a failed statement does not stop the batch).
@@ -122,9 +129,10 @@ class Database {
   /// chains. At most rma_options.max_threads statements (0 = hardware
   /// concurrency) are in flight, so a budget of 1 runs the batch one
   /// statement at a time; the in-flight statements split that thread
-  /// budget, so total worker fan-out stays bounded. The batch shares one
-  /// ExecContext borrowing the query cache. Identical statements in flight
-  /// at once may each miss and plan; every later one hits the stored plan.
+  /// budget, so total worker fan-out stays bounded. Every statement, DDL
+  /// included, runs through Run on one ExecContext borrowing the query
+  /// cache. Identical statements in flight at once may each miss and plan;
+  /// every later one hits the stored plan.
   ///
   /// Every statement observes exactly the catalog state its script
   /// position implies: a SELECT over a table created earlier in the batch
@@ -147,10 +155,6 @@ class Database {
   RmaOptions rma_options;
 
  private:
-  Result<Relation> ExecuteParsed(Statement&& stmt, const std::string& sql);
-  void ExecuteBatchStatement(Statement&& stmt, const std::string& sql,
-                             ExecContext* ctx, Result<Relation>* slot);
-
   /// Guards tables_.
   mutable SharedMutex catalog_mu_;
   /// Keyed by lower-cased name.

@@ -34,9 +34,9 @@ using ResidentTables = std::unordered_map<uint64_t, Relation>;
 /// Per-statement plan-cache cursor threaded through FROM evaluation. On a
 /// hit, `hit` serves the statement's relational matrix operations in
 /// traversal order; on a miss, built ops are appended to `record` and stored
-/// at statement end. Null (or null `hit` and `record`) means the statement
-/// runs uncached (nested evaluation inside a matrix-operation argument, or
-/// legacy entry points).
+/// at statement end. Nested evaluation inside a matrix-operation argument
+/// runs with both null: the argument is embedded in the operation's
+/// expression, which the cache serves or records whole.
 struct PlanCacheState {
   const QueryCache::StatementPlan* hit = nullptr;
   size_t cursor = 0;
@@ -235,11 +235,19 @@ Result<Bound> EvaluateTableRef(const Database& db, const TableRefPtr& ref,
 /// would double-count them and desynchronize the hit-path cursor. Only the
 /// bind channel (`binds`) and the statement's `resident` memo flow through,
 /// so base tables bound inside nested arguments still anchor the stored
-/// plan's validity and are materialized once.
+/// plan's validity and are materialized once. `shapes_only` (plain
+/// EXPLAIN, which reads nothing but shapes) binds the base tables that are
+/// arguments as the catalog holds them, so a paged table faults in no
+/// page; subqueries inside arguments still run.
 Result<RmaExprPtr> BuildRmaExpr(const Database& db, const TableRefPtr& ref,
                                 ExecContext* ctx,
                                 QueryCache::TableSnapshot* binds,
-                                ResidentTables* resident) {
+                                ResidentTables* resident, bool shapes_only) {
+  if (shapes_only && ref->kind == TableRef::Kind::kTable) {
+    RMA_ASSIGN_OR_RETURN(Relation rel, db.Get(ref->table_name));
+    rel.set_name(ref->alias.empty() ? ref->table_name : ref->alias);
+    return RmaExpr::Leaf(std::move(rel));
+  }
   if (ref->kind != TableRef::Kind::kRmaOp) {
     PlanCacheState nested;
     nested.binds = binds;
@@ -254,8 +262,9 @@ Result<RmaExprPtr> BuildRmaExpr(const Database& db, const TableRefPtr& ref,
   expr->op = ref->op;
   expr->alias = ref->alias;
   for (const auto& a : ref->rma_args) {
-    RMA_ASSIGN_OR_RETURN(RmaExprPtr child,
-                         BuildRmaExpr(db, a.table, ctx, binds, resident));
+    RMA_ASSIGN_OR_RETURN(
+        RmaExprPtr child,
+        BuildRmaExpr(db, a.table, ctx, binds, resident, shapes_only));
     expr->children.push_back(std::move(child));
     expr->orders.push_back(a.order);
   }
@@ -346,7 +355,7 @@ Result<Bound> EvaluateTableRef(const Database& db, const TableRefPtr& ref,
   switch (ref->kind) {
     case TableRef::Kind::kTable: {
       RMA_ASSIGN_OR_RETURN(Relation rel, db.Get(ref->table_name));
-      if (pcs != nullptr && pcs->binds != nullptr) {
+      if (pcs->binds != nullptr) {
         pcs->binds->emplace_back(ToLower(ref->table_name), rel.identity());
       }
       // Late materialization: only the columns the statement names are
@@ -357,8 +366,7 @@ Result<Bound> EvaluateTableRef(const Database& db, const TableRefPtr& ref,
       // read through accessors with no Status path, so residency faults
       // (torn-page checksums) must surface here, as this statement's error.
       // A table bound whole is copied once per statement (`resident`).
-      ResidentTables* resident =
-          needed == nullptr && pcs != nullptr ? pcs->resident : nullptr;
+      ResidentTables* resident = needed == nullptr ? pcs->resident : nullptr;
       if (resident != nullptr) {
         auto it = resident->find(rel.identity());
         if (it == resident->end()) {
@@ -384,11 +392,10 @@ Result<Bound> EvaluateTableRef(const Database& db, const TableRefPtr& ref,
       // A plan-cache hit serves the whole operation tree: the rewritten
       // expression (leaf relations bound at record time — sound because a
       // plan hits only while the catalog maps every table it read to the
-      // relation it embedded) evaluates directly, with no rebinding,
-      // rewriting, or EXPLAIN lowering; each operation still plans its
-      // kernel when it dispatches (RmaUnary/RmaBinary).
-      if (pcs != nullptr && pcs->hit != nullptr &&
-          pcs->cursor < pcs->hit->ops.size()) {
+      // relation it embedded) evaluates directly, with no rebinding or
+      // rewriting; each operation still plans its kernel when it dispatches
+      // (RmaUnary/RmaBinary).
+      if (pcs->hit != nullptr && pcs->cursor < pcs->hit->ops.size()) {
         const QueryCache::CachedOp& cop = pcs->hit->ops[pcs->cursor++];
         RMA_ASSIGN_OR_RETURN(Relation rel,
                              EvaluateExpression(cop.rewritten, ctx));
@@ -398,25 +405,14 @@ Result<Bound> EvaluateTableRef(const Database& db, const TableRefPtr& ref,
       // the cross-algebra rewriter sees patterns that span FROM-clause
       // nesting levels (e.g. MMU(TRA(w3 BY U) BY C, w3 BY U) → CPD) and
       // the staged pipeline plans, caches, and executes it as one unit.
-      RMA_ASSIGN_OR_RETURN(
-          RmaExprPtr expr,
-          BuildRmaExpr(db, ref, ctx, pcs != nullptr ? pcs->binds : nullptr,
-                       pcs != nullptr ? pcs->resident : nullptr));
+      RMA_ASSIGN_OR_RETURN(RmaExprPtr expr,
+                           BuildRmaExpr(db, ref, ctx, pcs->binds,
+                                        pcs->resident, /*shapes_only=*/false));
       RewriteReport report;
       const RmaExprPtr rewritten =
           RewriteExpression(expr, ctx->options().rewrites, &report);
-      if (pcs != nullptr && pcs->record != nullptr) {
-        QueryCache::CachedOp cop;
-        cop.rewritten = rewritten;
-        cop.rewrites = report.applied;
-        // Lower the physical plan of what actually executes (the rewritten
-        // tree) for EXPLAIN ANALYZE; planning failures surface through
-        // evaluation below, not here.
-        if (auto plan = PlanExpression(rewritten, ctx->options(), nullptr);
-            plan.ok()) {
-          cop.plan = *plan;
-        }
-        pcs->record->push_back(std::move(cop));
+      if (pcs->record != nullptr) {
+        pcs->record->push_back(QueryCache::CachedOp{rewritten, report.applied});
       }
       RMA_ASSIGN_OR_RETURN(Relation rel, EvaluateExpression(rewritten, ctx));
       return BindRelation(std::move(rel), ref->alias);
@@ -645,14 +641,14 @@ bool CanonicalizeBinds(QueryCache::TableSnapshot* binds) {
 }
 
 /// Shared statement runner: snapshots the read set, looks the plan up in
-/// the database's cache under `normalized`, executes (serving the
-/// statement's relational matrix operations from the plan on a hit), and on
-/// a miss stores the plan the run recorded. Concurrent identical statements
-/// that all miss each plan and store; the last store wins, and any of them
+/// the database's cache under `key`, executes (serving the statement's
+/// relational matrix operations from the plan on a hit), and on a miss
+/// stores the plan the run recorded. Concurrent identical statements that
+/// all miss each plan and store; the last store wins, and any of them
 /// serves later statements alike. `plan_out` (optional) receives the plan
 /// that served or was recorded.
 Result<Relation> RunStatement(const Database& db, const SelectStmt& stmt,
-                              const std::string& normalized, ExecContext* ctx,
+                              const std::string& key, ExecContext* ctx,
                               QueryCache::StatementPlanPtr* plan_out) {
   const QueryCachePtr& cache = db.query_cache();
   const uint64_t fingerprint =
@@ -660,9 +656,11 @@ Result<Relation> RunStatement(const Database& db, const SelectStmt& stmt,
   QueryCache::TableSnapshot current_tables;
   QueryCache::StatementPlanPtr used;
   if (SnapshotReadTables(db, stmt, &current_tables)) {
-    used = cache->LookupPlan(normalized, fingerprint, current_tables);
+    used = cache->LookupPlan(key, fingerprint, current_tables);
   }
-  ctx->RecordPlanCache(used != nullptr);
+  ctx->RecordPlanCache(used != nullptr
+                           ? ExecContext::PlanCacheOutcome::kHit
+                           : ExecContext::PlanCacheOutcome::kMiss);
   PlanCacheState pcs;
   ResidentTables resident;
   pcs.resident = &resident;
@@ -702,7 +700,7 @@ Result<Relation> RunStatement(const Database& db, const SelectStmt& stmt,
     const bool consistent = CanonicalizeBinds(&bound_tables);
     plan->base_tables = std::move(bound_tables);
     used = plan;
-    if (consistent) cache->StorePlan(normalized, std::move(plan));
+    if (consistent) cache->StorePlan(key, std::move(plan));
   }
   if (plan_out != nullptr) *plan_out = std::move(used);
   return result;
@@ -710,24 +708,13 @@ Result<Relation> RunStatement(const Database& db, const SelectStmt& stmt,
 
 }  // namespace
 
-Result<Relation> ExecuteSelect(const Database& db, const SelectStmt& stmt,
-                               ExecContext* ctx) {
-  PlanCacheState uncached;
-  ResidentTables resident;
-  uncached.resident = &resident;
-  return ExecuteSelectImpl(db, stmt, ctx, &uncached);
-}
-
-Result<Relation> ExecuteSelect(const Database& db, const SelectStmt& stmt,
-                               const RmaOptions& opts) {
-  ExecContext ctx(opts);
-  return ExecuteSelect(db, stmt, &ctx);
-}
-
-Result<Relation> ExecuteSelectCached(const Database& db, const SelectStmt& stmt,
-                                     const std::string& normalized,
+Result<Relation> ExecuteSelectCached(const Database& db, const Statement& stmt,
                                      ExecContext* ctx) {
-  return RunStatement(db, stmt, normalized, ctx, /*plan_out=*/nullptr);
+  if (stmt.select == nullptr) {
+    return Status::Invalid("statement has no SELECT to execute");
+  }
+  return RunStatement(db, *stmt.select, stmt.plan_key, ctx,
+                      /*plan_out=*/nullptr);
 }
 
 // --- EXPLAIN -----------------------------------------------------------------
@@ -753,6 +740,13 @@ void AppendIndented(const std::string& block, int depth,
 Status ExplainSelectLines(const Database& db, const SelectStmt& stmt,
                           ExecContext* ctx, int depth,
                           std::vector<std::string>* lines);
+
+std::string RewritesFired(const std::vector<std::string>& rules) {
+  std::string fired = "rewrites fired:";
+  if (rules.empty()) return fired + " (none)";
+  for (const auto& rule : rules) fired += " " + rule;
+  return fired;
+}
 
 Status ExplainTableRef(const Database& db, const TableRefPtr& ref,
                        ExecContext* ctx, int depth,
@@ -784,7 +778,7 @@ Status ExplainTableRef(const Database& db, const TableRefPtr& ref,
       ResidentTables resident;
       RMA_ASSIGN_OR_RETURN(RmaExprPtr expr,
                            BuildRmaExpr(db, ref, ctx, /*binds=*/nullptr,
-                                        &resident));
+                                        &resident, /*shapes_only=*/true));
       RewriteReport report;
       RMA_ASSIGN_OR_RETURN(PlanNodePtr plan,
                            PlanExpression(expr, ctx->options(), &report));
@@ -792,13 +786,7 @@ Status ExplainTableRef(const Database& db, const TableRefPtr& ref,
                          (ref->alias.empty() ? "" : " AS " + ref->alias) + ":",
                      depth, lines);
       AppendIndented(RenderPlan(plan), depth + 1, lines);
-      std::string fired = "rewrites fired:";
-      if (report.applied.empty()) {
-        fired += " (none)";
-      } else {
-        for (const auto& rule : report.applied) fired += " " + rule;
-      }
-      AppendIndented(fired, depth + 1, lines);
+      AppendIndented(RewritesFired(report.applied), depth + 1, lines);
       return Status::OK();
     }
   }
@@ -838,9 +826,10 @@ Result<Relation> PlanRelation(std::vector<std::string> lines) {
                         "explain");
 }
 
-/// The EXPLAIN ANALYZE execution section: per-operation measured stage
-/// times (plans() zipped with op_stats()), statement-level cache
-/// provenance, result cardinality, and total wall time.
+/// The EXPLAIN ANALYZE execution section: per operation, the plan it ran
+/// under and its measured stage times (plans() zipped with op_stats()),
+/// then statement-level cache provenance, result cardinality, and total
+/// wall time.
 void AppendExecutionSection(const Database& db, const ExecContext& ctx,
                             const Relation& result, double total_seconds,
                             std::vector<std::string>* lines) {
@@ -850,8 +839,7 @@ void AppendExecutionSection(const Database& db, const ExecContext& ctx,
   const size_t n = std::min(plans.size(), stats.size());
   for (size_t i = 0; i < n; ++i) {
     std::ostringstream os;
-    os << "op " << i + 1 << ": " << GetOpInfo(plans[i].op).name
-       << " kernel=" << KernelChoiceName(plans[i].kernel)
+    os << "op " << i + 1 << ": " << plans[i].DebugString()
        << " sort=" << FormatSecs(stats[i].sort_seconds)
        << " gather=" << FormatSecs(stats[i].transform_in_seconds)
        << " kernel=" << FormatSecs(stats[i].compute_seconds)
@@ -908,22 +896,13 @@ void AppendExecutionSection(const Database& db, const ExecContext& ctx,
 
 }  // namespace
 
-Result<Relation> ExplainSelect(const Database& db, const SelectStmt& stmt,
-                               const RmaOptions& opts) {
-  ExecContext ctx(opts);
-  std::vector<std::string> lines;
-  RMA_RETURN_NOT_OK(ExplainSelectLines(db, stmt, &ctx, 0, &lines));
-  return PlanRelation(std::move(lines));
-}
-
 Result<Relation> ExplainStatement(Database& db, const Statement& stmt,
-                                  const std::string& sql,
-                                  const RmaOptions* session_opts) {
+                                  const RmaOptions& opts,
+                                  ExecContext::PlanCacheOutcome* outcome) {
+  *outcome = ExecContext::PlanCacheOutcome::kNotConsulted;
   if (stmt.select == nullptr) {
     return Status::Invalid("EXPLAIN requires a SELECT or CREATE TABLE AS");
   }
-  const RmaOptions& opts =
-      session_opts != nullptr ? *session_opts : db.rma_options;
   std::vector<std::string> lines;
   if (!stmt.analyze) {
     // Plain EXPLAIN: render the full relational pipeline without executing
@@ -942,41 +921,32 @@ Result<Relation> ExplainStatement(Database& db, const Statement& stmt,
     return PlanRelation(std::move(lines));
   }
 
-  // EXPLAIN ANALYZE: execute through the database's plan cache and render
-  // the statement plan that actually served (or was recorded by) the run —
-  // the cached lowered PlanNode trees — followed by the measured execution
-  // section. CREATE TABLE AS registers its result (side effects are part of
-  // execution) and consults the cache like any statement: invalidation is
-  // per-table, so its own Register only evicts the stored plan when the
-  // select reads the table it replaces.
+  // EXPLAIN ANALYZE: execute through the database's plan cache, then list
+  // the rewrites of the statement plan that served (or was recorded by) the
+  // run and the measured execution section, whose op lines carry the plans
+  // the operations ran under. CREATE TABLE AS registers its result (side
+  // effects are part of execution) and consults the cache like any
+  // statement: invalidation is per-table, so its own Register only evicts
+  // the stored plan when the select reads the table it replaces.
   if (stmt.explain_create) {
     lines.push_back("create table " + stmt.table_name + " as");
   }
   ExecContext ctx(opts, db.query_cache());
-  const std::string normalized = QueryCache::NormalizeStatement(sql);
   QueryCache::StatementPlanPtr plan_used;
   Timer timer;
-  RMA_ASSIGN_OR_RETURN(
-      Relation result,
-      RunStatement(db, *stmt.select, normalized, &ctx, &plan_used));
+  Result<Relation> result =
+      RunStatement(db, *stmt.select, stmt.plan_key, &ctx, &plan_used);
   const double total_seconds = timer.Seconds();
+  *outcome = ctx.plan_cache_outcome();
+  RMA_RETURN_NOT_OK(result.status());
   if (stmt.explain_create) {
-    RMA_RETURN_NOT_OK(db.Register(stmt.table_name, result));
+    RMA_RETURN_NOT_OK(db.Register(stmt.table_name, *result));
   }
-  if (plan_used != nullptr) {
-    for (const QueryCache::CachedOp& cop : plan_used->ops) {
-      lines.push_back("relational matrix operation:");
-      if (cop.plan != nullptr) AppendIndented(RenderPlan(cop.plan), 1, &lines);
-      std::string fired = "rewrites fired:";
-      if (cop.rewrites.empty()) {
-        fired += " (none)";
-      } else {
-        for (const auto& rule : cop.rewrites) fired += " " + rule;
-      }
-      AppendIndented(fired, 1, &lines);
-    }
+  for (const QueryCache::CachedOp& cop : plan_used->ops) {
+    lines.push_back("relational matrix operation:");
+    AppendIndented(RewritesFired(cop.rewrites), 1, &lines);
   }
-  AppendExecutionSection(db, ctx, result, total_seconds, &lines);
+  AppendExecutionSection(db, ctx, *result, total_seconds, &lines);
   return PlanRelation(std::move(lines));
 }
 

@@ -1,5 +1,6 @@
 #include "sql/parser.h"
 
+#include <cctype>
 #include <unordered_set>
 
 #include "sql/lexer.h"
@@ -435,12 +436,73 @@ class Parser {
   size_t pos_ = 0;
 };
 
+/// The plan-cache key of a lexed statement (Statement::plan_key). Each
+/// token is its kind letter, its spelling and a space; no identifier,
+/// number or symbol spelling holds a space, and a string literal is
+/// length-prefixed, so the rendering is injective.
+std::string PlanKey(const std::vector<Token>& tokens) {
+  size_t begin = 0;
+  auto is_ident = [&](size_t i, const char* word) {
+    return i < tokens.size() && tokens[i].kind == TokenKind::kIdent &&
+           EqualsIgnoreCase(tokens[i].text, word);
+  };
+  if (is_ident(begin, "EXPLAIN")) {
+    ++begin;
+    if (is_ident(begin, "ANALYZE")) ++begin;
+  }
+  size_t end = tokens.size() - 1;  // the kEnd token
+  if (end > begin && tokens[end - 1].kind == TokenKind::kSymbol &&
+      tokens[end - 1].text == ";") {
+    --end;
+  }
+  size_t bytes = 0;  // spellings plus kind letter, space and length prefix
+  for (size_t i = begin; i < end; ++i) bytes += tokens[i].text.size() + 8;
+  std::string key;
+  key.reserve(bytes);
+  for (size_t i = begin; i < end; ++i) {
+    const Token& t = tokens[i];
+    switch (t.kind) {
+      case TokenKind::kIdent:
+        key += 'i';
+        for (const char c : t.text) {
+          key += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+        }
+        break;
+      case TokenKind::kString:
+        key += 's';
+        key += std::to_string(t.text.size());
+        key += ':';
+        key += t.text;
+        break;
+      case TokenKind::kInt:
+        key += 'n';
+        key += t.text;
+        break;
+      case TokenKind::kFloat:
+        key += 'f';
+        key += t.text;
+        break;
+      case TokenKind::kSymbol:
+        key += 'p';
+        key += t.text;
+        break;
+      case TokenKind::kEnd:
+        break;
+    }
+    key += ' ';
+  }
+  return key;
+}
+
 }  // namespace
 
 Result<Statement> Parse(const std::string& input) {
   RMA_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(input));
+  std::string key = PlanKey(tokens);
   Parser p(std::move(tokens));
-  return p.ParseStatement();
+  RMA_ASSIGN_OR_RETURN(Statement stmt, p.ParseStatement());
+  stmt.plan_key = std::move(key);
+  return stmt;
 }
 
 Result<SelectStmtPtr> ParseSelect(const std::string& input) {

@@ -9,7 +9,8 @@
 
 namespace rma::sql {
 
-/// Parses one SQL statement (trailing semicolon optional).
+/// Parses one SQL statement (trailing semicolon optional) and keys it for
+/// the plan cache from the tokens it lexed (Statement::plan_key).
 ///
 /// Supported grammar (case-insensitive keywords):
 ///   SELECT items FROM from [WHERE e] [GROUP BY cols] [ORDER BY cols [DESC]]
@@ -27,10 +28,9 @@ Result<SelectStmtPtr> ParseSelect(const std::string& input);
 
 /// Splits a multi-statement script on top-level semicolons (a ';' inside a
 /// string literal or a line/block comment is respected via the lexer) into
-/// the original statement texts, preserving each statement's spelling so
-/// plan-cache normalization sees exactly what a single-statement call
-/// would. Empty statements (';;', trailing ';') are dropped. ParseError on
-/// malformed input.
+/// the original statement texts, so each one parses, and keys the plan
+/// cache, exactly as a single-statement call would. Empty statements (';;',
+/// trailing ';') are dropped. ParseError on malformed input.
 Result<std::vector<std::string>> SplitStatements(const std::string& script);
 
 }  // namespace rma::sql

@@ -35,7 +35,7 @@ constexpr int64_t kPrefetchDistance = 32;
 // --- ordering --------------------------------------------------------------
 
 /// The row-at-a-time comparison, kept for key lists the typed core below
-/// does not take (NaN-bearing, sparse or paged keys) and for IsSorted.
+/// does not take (NaN-bearing, sparse or paged keys).
 int CompareRows(const std::vector<BatPtr>& keys,
                 const std::vector<bool>& descending, int64_t i, int64_t j) {
   for (size_t c = 0; c < keys.size(); ++c) {
@@ -199,15 +199,6 @@ std::vector<int64_t> ArgSort(const std::vector<BatPtr>& keys,
 std::vector<int64_t> ArgSortUnique(const std::vector<BatPtr>& keys,
                                    bool* unique) {
   return Sort(keys, {}, unique);
-}
-
-bool IsSorted(const std::vector<BatPtr>& keys) {
-  if (keys.empty()) return true;
-  const int64_t n = keys[0]->size();
-  for (int64_t i = 1; i < n; ++i) {
-    if (CompareRows(keys, {}, i - 1, i) > 0) return false;
-  }
-  return true;
 }
 
 namespace {
@@ -418,14 +409,6 @@ BatPtr MulColumns(const BatPtr& a, const BatPtr& b) {
   return MakeDoubleBat(std::move(x));
 }
 
-std::vector<double> AddDense(const std::vector<double>& a,
-                             const std::vector<double>& b) {
-  RMA_DCHECK(a.size() == b.size());
-  std::vector<double> out(a.size());
-  simd::Add(a.data(), b.data(), out.data(), static_cast<int64_t>(a.size()));
-  return out;
-}
-
 void CopyDenseToStrided(const double* src, int64_t n, double* dst,
                         int64_t stride) {
   if (stride == 1) {
@@ -572,10 +555,6 @@ void Scale(double alpha, std::vector<double>* x) {
 double Dot(const std::vector<double>& a, const std::vector<double>& b) {
   RMA_DCHECK(a.size() == b.size());
   return simd::Dot(a.data(), b.data(), static_cast<int64_t>(a.size()));
-}
-
-double Sum(const std::vector<double>& a) {
-  return simd::Sum(a.data(), static_cast<int64_t>(a.size()));
 }
 
 namespace {

@@ -43,9 +43,6 @@ std::vector<int64_t> ArgSort(const std::vector<BatPtr>& keys,
 std::vector<int64_t> ArgSortUnique(const std::vector<BatPtr>& keys,
                                    bool* unique);
 
-/// True if rows are already sorted (non-strictly) under `keys`.
-bool IsSorted(const std::vector<BatPtr>& keys);
-
 /// True if all key rows are pairwise distinct. O(n) extra space.
 bool IsKey(const std::vector<BatPtr>& keys);
 
@@ -184,9 +181,6 @@ BatPtr AddColumns(const BatPtr& a, const BatPtr& b);
 BatPtr SubColumns(const BatPtr& a, const BatPtr& b);
 BatPtr MulColumns(const BatPtr& a, const BatPtr& b);
 
-std::vector<double> AddDense(const std::vector<double>& a,
-                             const std::vector<double>& b);
-
 /// Copies `n` doubles from `src` into `dst[0], dst[stride], ...` (stride in
 /// elements). The strided-write building block of the BATs -> contiguous
 /// matrix gather.
@@ -218,7 +212,6 @@ void Axpy(double alpha, const std::vector<double>& x, std::vector<double>* y);
 /// x[i] *= alpha
 void Scale(double alpha, std::vector<double>* x);
 double Dot(const std::vector<double>& a, const std::vector<double>& b);
-double Sum(const std::vector<double>& a);
 
 // --- predicated selection (candidate lists) --------------------------------
 

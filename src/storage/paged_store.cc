@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -78,6 +79,23 @@ bool IsColumnFileName(const std::string& name) {
   return name.size() > 5 && name[0] == 'c' &&
          name.compare(name.size() - 4, 4, ".col") == 0 &&
          name.find('/') == std::string::npos;
+}
+
+/// Column file ids stay below this bound (18 digits), so the next-file-id
+/// counter never wraps onto a live file.
+constexpr uint64_t kMaxFileId = 1000000000000000000ULL;
+
+/// The N of a column file named "c<N>.col", or 0 for any other name that
+/// IsColumnFileName accepts.
+uint64_t ColumnFileId(const std::string& name) {
+  const std::string digits = name.substr(1, name.size() - 5);
+  if (digits.empty() || digits.size() > 18) return 0;
+  uint64_t id = 0;
+  for (const char ch : digits) {
+    if (ch < '0' || ch > '9') return 0;
+    id = id * 10 + static_cast<uint64_t>(ch - '0');
+  }
+  return id;
 }
 
 const char* TypeName(DataType t) {
@@ -278,9 +296,13 @@ Status PagedStore::LoadManifestLocked(const std::string& text) {
   std::getline(in, line);  // the header, checked above
   unsigned long long next_id = 0;
   if (!std::getline(in, line) ||
-      std::sscanf(line.c_str(), "next-file-id %llu", &next_id) != 1) {
+      std::sscanf(line.c_str(), "next-file-id %llu", &next_id) != 1 ||
+      next_id >= kMaxFileId) {
     return Status::IoError("manifest: bad next-file-id line");
   }
+  // A stale next-file-id must never name a live column file, which the
+  // next save would truncate: the col lines below raise it past every file
+  // they name.
   next_file_id_ = next_id;
 
   std::string key;
@@ -312,6 +334,7 @@ Status PagedStore::LoadManifestLocked(const std::string& text) {
       }
       RMA_ASSIGN_OR_RETURN(c.attr, Unescape(eattr));
       RMA_ASSIGN_OR_RETURN(c.type, TypeFromName(tname));
+      next_file_id_ = std::max(next_file_id_, ColumnFileId(c.file) + 1);
       meta.cols.push_back(std::move(c));
     } else if (tag == "endtable") {
       if (!in_table) return Status::IoError("manifest: stray endtable");

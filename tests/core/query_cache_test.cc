@@ -1,4 +1,4 @@
-// The database-level QueryCache: statement normalization, the identity-
+// The database-level QueryCache: the options fingerprint, the identity-
 // snapshot plan hit rule, per-table plan invalidation, cross-context
 // prepared-argument sharing, precise relation eviction, and
 // capacity-bounded LRU eviction.
@@ -17,70 +17,6 @@ namespace rma {
 namespace {
 
 using testing::RandomKeyedRelation;
-
-TEST(NormalizeStatementTest, CaseWhitespaceAndSemicolon) {
-  EXPECT_EQ(QueryCache::NormalizeStatement("SELECT  *\n FROM   t ;"),
-            "select * from t");
-  EXPECT_EQ(QueryCache::NormalizeStatement("select * from t"),
-            "select * from t");
-}
-
-TEST(NormalizeStatementTest, PreservesStringLiterals) {
-  EXPECT_EQ(QueryCache::NormalizeStatement("SELECT * FROM t WHERE s = 'A  B'"),
-            "select * from t where s = 'A  B'");
-}
-
-TEST(NormalizeStatementTest, EscapedQuoteDoesNotDesyncQuoteState) {
-  // '' is an escaped quote inside a literal (lexer semantics): the literal
-  // continues, so the differing trailing characters must keep the two
-  // statements on different keys.
-  EXPECT_NE(
-      QueryCache::NormalizeStatement("SELECT * FROM t WHERE s = 'X''y'"),
-      QueryCache::NormalizeStatement("SELECT * FROM t WHERE s = 'X''Y'"));
-  EXPECT_EQ(
-      QueryCache::NormalizeStatement("SELECT * FROM t WHERE s = 'X''Y'  "),
-      "select * from t where s = 'X''Y'");
-}
-
-TEST(NormalizeStatementTest, StripsLineComments) {
-  // Comment-only differences must share one plan entry, and an apostrophe
-  // inside a comment must not flip the quote-tracking state.
-  EXPECT_EQ(QueryCache::NormalizeStatement(
-                "SELECT * FROM t -- don't trip the quote tracker\n"),
-            "select * from t");
-  EXPECT_EQ(QueryCache::NormalizeStatement(
-                "SELECT a, -- pick a\n b FROM t"),
-            QueryCache::NormalizeStatement("SELECT a, b FROM t"));
-  // The comment separates tokens like whitespace.
-  EXPECT_EQ(QueryCache::NormalizeStatement("SELECT a--c\nFROM t"),
-            "select a from t");
-}
-
-TEST(NormalizeStatementTest, StripsBlockComments) {
-  EXPECT_EQ(QueryCache::NormalizeStatement(
-                "SELECT /* don't */ * FROM /* t? no: */ t"),
-            "select * from t");
-  EXPECT_EQ(QueryCache::NormalizeStatement("SELECT a/* tight */FROM t"),
-            "select a from t");
-  // Multi-line block comment, with a quote on its own line.
-  EXPECT_EQ(QueryCache::NormalizeStatement(
-                "SELECT * FROM t /* line one\n 'line two'\n*/ WHERE a > 1"),
-            "select * from t where a > 1");
-}
-
-TEST(NormalizeStatementTest, CommentMarkersInsideLiteralsArePreserved) {
-  EXPECT_EQ(QueryCache::NormalizeStatement("SELECT '--x' FROM t"),
-            "select '--x' from t");
-  EXPECT_EQ(QueryCache::NormalizeStatement("SELECT '/* x */' FROM t"),
-            "select '/* x */' from t");
-}
-
-TEST(NormalizeStatementTest, StripsExplainAnalyzePrefix) {
-  const std::string base = QueryCache::NormalizeStatement("SELECT * FROM t");
-  EXPECT_EQ(QueryCache::NormalizeStatement("EXPLAIN SELECT * FROM t"), base);
-  EXPECT_EQ(QueryCache::NormalizeStatement("EXPLAIN ANALYZE  SELECT * FROM t"),
-            base);
-}
 
 TEST(OptionsFingerprintTest, PlanAffectingFieldsChangeTheFingerprint) {
   RmaOptions a;

@@ -131,10 +131,16 @@ TEST_F(ServerTest, ResultsStreamInBatches) {
 TEST_F(ServerTest, EmptyResultStreamsHeaderAndComplete) {
   StartServer();
   Client c = Connect();
+  ASSERT_OK(c.Execute("SELECT * FROM weather;").status());
+  ASSERT_OK_AND_ASSIGN(ExecResult cached, c.Execute("SELECT * FROM weather;"));
+  ASSERT_EQ(cached.plan_cache, 1);
   ASSERT_OK_AND_ASSIGN(ExecResult result,
                        c.Execute("DROP TABLE weather;"));
   EXPECT_EQ(result.rows, 0u);
   EXPECT_EQ(result.batches, 0);
+  // COMPLETE describes the DROP, which does not consult the plan cache,
+  // not the cached SELECT before it.
+  EXPECT_EQ(result.plan_cache, 0);
 }
 
 TEST_F(ServerTest, PreparedStatementsReplayThroughPlanCache) {
@@ -148,11 +154,13 @@ TEST_F(ServerTest, PreparedStatementsReplayThroughPlanCache) {
   EXPECT_EQ(second.plan_cache, 1) << "second execution must hit the cache";
 
   // The cache is shared across sessions: a different connection executing
-  // the same text also hits.
+  // the same statement, spaced differently, also hits and returns the
+  // prepared handle's rows.
   Client other = Connect();
   ASSERT_OK_AND_ASSIGN(ExecResult cross,
-                       other.Execute("SELECT * FROM QQR(m BY id);"));
+                       other.Execute("SELECT * FROM QQR( m BY id );"));
   EXPECT_EQ(cross.plan_cache, 1);
+  ExpectSameRelation(cross.relation, second.relation);
 }
 
 TEST_F(ServerTest, PrepareRejectsMalformedSql) {

@@ -205,11 +205,16 @@ TEST(EffectsConflictTest, WriteAfterReadWaits) {
 // --- ExecuteBatch ------------------------------------------------------------
 
 TEST(ExecuteBatchTest, MatchesSerialExecution) {
+  // Every statement kind runs through the one runner, batched or not.
   const std::vector<std::string> statements = {
       "SELECT * FROM QQR(r BY id)",
       "SELECT * FROM QQR(s BY id)",
       "SELECT * FROM INV(CPD(r BY id, r BY id) BY C)",
       "SELECT COUNT(*) AS n FROM r",
+      "CREATE TABLE q AS SELECT * FROM QQR(s BY id)",
+      "SELECT COUNT(*) AS n FROM q",
+      "DROP TABLE q",
+      "EXPLAIN ANALYZE SELECT * FROM CPD(s BY id, s BY id)",
   };
   Database serial_db = MakeDb(/*max_threads=*/1);
   Database batch_db = MakeDb(/*max_threads=*/4);
@@ -225,6 +230,8 @@ TEST(ExecuteBatchTest, MatchesSerialExecution) {
     EXPECT_EQ(batched[i]->num_columns(), expected->num_columns())
         << statements[i];
   }
+  EXPECT_EQ(ValueToDouble(batched[5]->Get(0, 0)), 500.0);
+  EXPECT_FALSE(batch_db.Has("q"));
 }
 
 /// Runs `statements` twice as a batch on a cold cache. Concurrent duplicates

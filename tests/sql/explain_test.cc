@@ -1,8 +1,10 @@
 // EXPLAIN: the SQL surface of the physical planner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
+#include "matrix/parallel.h"
 #include "matrix/simd.h"
 #include "sql/database.h"
 #include "test_util.h"
@@ -99,6 +101,10 @@ TEST(ExplainTest, AnalyzeCreateTableAsExecutesAndRegisters) {
   const std::string text = PlanText(*result);
   EXPECT_NE(text.find("create table q as"), std::string::npos) << text;
   EXPECT_NE(text.find("execution:"), std::string::npos) << text;
+  EXPECT_NE(text.find("op 1: qqr kernel=dense stages=[prepare gather kernel "
+                      "scatter morph] cost(bat)="),
+            std::string::npos)
+      << text;
   EXPECT_NE(text.find("rows: 4"), std::string::npos) << text;
   EXPECT_TRUE(db.Has("q"));  // ANALYZE executes, side effects included
 }
@@ -135,6 +141,8 @@ TEST(ExplainAnalyzeTest, RepeatedQueryHitsPlanCacheWithZeroSort) {
   auto first = db.Execute(q);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   const std::string cold = PlanText(*first);
+  EXPECT_NE(cold.find("rewrites fired: (none)"), std::string::npos) << cold;
+  EXPECT_NE(cold.find("op 1: qqr kernel="), std::string::npos) << cold;
   EXPECT_NE(cold.find("plan cache: miss"), std::string::npos) << cold;
   EXPECT_NE(cold.find("prepared: 0 hit, 1 miss"), std::string::npos) << cold;
   EXPECT_EQ(cold.find("sort=0.000000s"), std::string::npos)
@@ -144,6 +152,8 @@ TEST(ExplainAnalyzeTest, RepeatedQueryHitsPlanCacheWithZeroSort) {
   auto second = db.Execute(q);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   const std::string warm = PlanText(*second);
+  EXPECT_NE(warm.find("rewrites fired: (none)"), std::string::npos) << warm;
+  EXPECT_NE(warm.find("op 1: qqr kernel="), std::string::npos) << warm;
   EXPECT_NE(warm.find("plan cache: hit"), std::string::npos) << warm;
   EXPECT_NE(warm.find("sort=0.000000s"), std::string::npos)
       << "cached run must skip the sort entirely:\n"
@@ -214,6 +224,45 @@ TEST(ExplainAnalyzeTest, DropOfTheReadTableForcesMiss) {
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   const std::string text = PlanText(*after);
   EXPECT_NE(text.find("plan cache: miss"), std::string::npos) << text;
+}
+
+TEST(ExplainAnalyzeTest, ShardCountIsTheOneThatRan) {
+  // Each op line starts with the plan the op ran under. Inside a one-thread
+  // budget (a batch or server admission share) the self cross product runs
+  // unsharded, so no shard count may appear, although the options alone
+  // would price four shards.
+  Database db;
+  db.rma_options.max_threads = 4;
+  Rng rng(37);
+  db.Register("x", rma::testing::RandomKeyedRelation(100000, 7, &rng))
+      .Abort();
+  const std::string q = "EXPLAIN ANALYZE SELECT * FROM CPD(x BY id, x BY id)";
+  {
+    ScopedThreadBudget one_thread(1);
+    auto result = db.Execute(q);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const std::string text = PlanText(*result);
+    EXPECT_NE(text.find("op 1: cpd kernel=dense-syrk stages=["),
+              std::string::npos)
+        << text;
+    EXPECT_EQ(text.find("shards="), std::string::npos) << text;
+    EXPECT_EQ(text.find("merge="), std::string::npos) << text;
+  }
+  // Under the options' own budget the op shards: its line names the count
+  // and merge that ran, then one wall time per shard.
+  auto result = db.Execute(q);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::string text = PlanText(*result);
+  EXPECT_NE(text.find("op 1: cpd kernel=dense-syrk stages=["),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find(" shards=4 merge=tree-reduce "), std::string::npos)
+      << text;
+  const size_t walls = text.find("shards=[");
+  ASSERT_NE(walls, std::string::npos) << text;
+  // "shards=[w1 w2 w3 w4": four walls, three separators.
+  const std::string list = text.substr(walls, text.find(']', walls) - walls);
+  EXPECT_EQ(std::count(list.begin(), list.end(), ' '), 3) << list;
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // SQL lexer and parser.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sql/lexer.h"
 #include "sql/parser.h"
 #include "test_util.h"
@@ -203,6 +205,98 @@ TEST(Parser, QualifiedColumnsAndFunctions) {
   EXPECT_EQ(stmt->items[1].expr->name, "SQRT");
   EXPECT_EQ(stmt->items[2].expr->name, "COUNT");
   EXPECT_EQ(stmt->items[2].expr->args[0]->kind, SqlExpr::Kind::kStar);
+}
+
+// --- plan-cache keys -------------------------------------------------------
+
+/// The plan-cache key Parse builds from the statement's tokens.
+std::string Key(const std::string& sql) {
+  Result<Statement> stmt = Parse(sql);
+  EXPECT_TRUE(stmt.ok()) << sql << ": " << stmt.status().ToString();
+  return stmt.ok() ? stmt->plan_key : std::string();
+}
+
+TEST(NormalizeStatementTest, CaseWhitespaceAndSemicolon) {
+  const std::string base = Key("select * from t");
+  EXPECT_EQ(Key("SELECT  *\n FROM   t ;"), base);
+  EXPECT_EQ(Key("Select * From T"), base);
+  // Spacing between tokens never splits an entry.
+  EXPECT_EQ(Key("SELECT * FROM QQR( m BY id )"),
+            Key("SELECT * FROM QQR(m BY id)"));
+  EXPECT_NE(Key("SELECT * FROM u"), base);
+}
+
+TEST(NormalizeStatementTest, PreservesStringLiterals) {
+  // Literal case and spacing are data: they keep their own entries.
+  const std::string spaced = Key("SELECT * FROM t WHERE s = 'A  B'");
+  EXPECT_EQ(Key("select * from t where s = 'A  B'"), spaced);
+  EXPECT_NE(Key("SELECT * FROM t WHERE s = 'A B'"), spaced);
+  EXPECT_NE(Key("SELECT * FROM t WHERE s = 'a  b'"), spaced);
+}
+
+TEST(NormalizeStatementTest, EscapedQuoteDoesNotDesyncQuoteState) {
+  // '' is an escaped quote inside a literal: the literal continues, so the
+  // differing trailing characters keep the two statements on different
+  // keys.
+  EXPECT_NE(Key("SELECT * FROM t WHERE s = 'X''y'"),
+            Key("SELECT * FROM t WHERE s = 'X''Y'"));
+  EXPECT_EQ(Key("SELECT * FROM t WHERE s = 'X''Y'  "),
+            Key("select * from t where s = 'X''Y'"));
+  // Length prefixes keep adjacent literals apart: 'a', 'b' is not 'a'', ''b'.
+  EXPECT_NE(Key("SELECT 'a', 'b' FROM t"), Key("SELECT 'a'', ''b' FROM t"));
+}
+
+TEST(NormalizeStatementTest, StripsLineComments) {
+  // Comment-only differences share one plan entry, and an apostrophe
+  // inside a comment does not open a literal.
+  EXPECT_EQ(Key("SELECT * FROM t -- don't trip the quote tracker\n"),
+            Key("SELECT * FROM t"));
+  EXPECT_EQ(Key("SELECT a, -- pick a\n b FROM t"), Key("SELECT a, b FROM t"));
+  // The comment separates tokens like whitespace.
+  EXPECT_EQ(Key("SELECT a--c\nFROM t"), Key("select a from t"));
+}
+
+TEST(NormalizeStatementTest, StripsBlockComments) {
+  EXPECT_EQ(Key("SELECT /* don't */ * FROM /* t? no: */ t"),
+            Key("select * from t"));
+  EXPECT_EQ(Key("SELECT a/* tight */FROM t"), Key("select a from t"));
+  // Multi-line block comment, with a quote on its own line.
+  EXPECT_EQ(Key("SELECT * FROM t /* line one\n 'line two'\n*/ WHERE a > 1"),
+            Key("select * from t where a > 1"));
+}
+
+TEST(NormalizeStatementTest, CommentMarkersInsideLiteralsArePreserved) {
+  EXPECT_NE(Key("SELECT '--x' FROM t"), Key("SELECT '' FROM t"));
+  EXPECT_NE(Key("SELECT '--x' FROM t"), Key("SELECT '--y' FROM t"));
+  EXPECT_NE(Key("SELECT '/* x */' FROM t"), Key("SELECT '/**/' FROM t"));
+  EXPECT_EQ(Key("SELECT  '/* x */'  FROM t"), Key("select '/* x */' from t"));
+}
+
+TEST(NormalizeStatementTest, StripsExplainAnalyzePrefix) {
+  const std::string base = Key("SELECT * FROM t");
+  EXPECT_EQ(Key("EXPLAIN SELECT * FROM t"), base);
+  EXPECT_EQ(Key("EXPLAIN ANALYZE  SELECT * FROM t;"), base);
+  EXPECT_EQ(Key("explain analyze CREATE TABLE q AS SELECT * FROM t"),
+            Key("CREATE TABLE q AS SELECT * FROM t"));
+}
+
+TEST(NormalizeStatementTest, OperatorSpacingSharesAKey) {
+  EXPECT_EQ(Key("SELECT a+b FROM t"), Key("SELECT a + b FROM t"));
+  EXPECT_EQ(Key("SELECT * FROM t WHERE a<=1"),
+            Key("SELECT * FROM t WHERE a <= 1"));
+  EXPECT_NE(Key("SELECT a+b FROM t"), Key("SELECT a-b FROM t"));
+}
+
+TEST(NormalizeStatementTest, IdentifierDiffersFromStringLiteral) {
+  EXPECT_NE(Key("SELECT x FROM t"), Key("SELECT 'x' FROM t"));
+  EXPECT_NE(Key("SELECT 1 FROM t"), Key("SELECT '1' FROM t"));
+}
+
+TEST(NormalizeStatementTest, CreateTableAsKeysItsWholeStatement) {
+  const std::string select = Key("SELECT * FROM QQR(m BY id)");
+  const std::string ctas = Key("CREATE TABLE q AS SELECT * FROM QQR(m BY id)");
+  EXPECT_NE(ctas, select);
+  EXPECT_NE(Key("CREATE TABLE r AS SELECT * FROM QQR(m BY id)"), ctas);
 }
 
 }  // namespace

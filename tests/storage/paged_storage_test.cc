@@ -611,6 +611,47 @@ TEST(PagedStore, MutatedBytesFailWithStatus) {
   EXPECT_GT(kept, 0);
 }
 
+/// A manifest whose next-file-id lags its own col lines must not hand a
+/// live column file to the next save, which would truncate it under intact
+/// checksums: the store takes one past the largest file the manifest names,
+/// and refuses an id so large that the counter would wrap onto c1.col.
+TEST(PagedStore, StaleNextFileIdNeverReusesALiveFile) {
+  const std::string dir = TempDir();
+  const Relation a = workload::UniformRelation(1000, 2, 51, 0.0, 1.0,
+                                               /*sorted=*/false, "a");
+  {
+    ASSERT_OK_AND_ASSIGN(std::shared_ptr<PagedStore> store,
+                         PagedStore::Open(dir));
+    ASSERT_OK(store->SaveTable("a", a).status());
+  }
+  const std::string manifest = ReadFileBytes(dir + "/manifest");
+  const size_t at = manifest.find("next-file-id ");
+  ASSERT_NE(at, std::string::npos) << manifest;
+  auto with_next_id = [&](const std::string& id) {
+    std::string text = manifest;
+    text.replace(at, text.find('\n', at) - at, "next-file-id " + id);
+    WriteFileBytes(dir + "/manifest", RestampManifest(text));
+  };
+  with_next_id("18446744073709551615");
+  EXPECT_STATUS(kIoError, PagedStore::Open(dir));
+  with_next_id("1");
+  {
+    ASSERT_OK_AND_ASSIGN(std::shared_ptr<PagedStore> store,
+                         PagedStore::Open(dir));
+    ASSERT_EQ(store->recovered().size(), 1u);
+    ASSERT_OK(store
+                  ->SaveTable("b", workload::UniformRelation(
+                                       10, 2, 52, 0.0, 1.0, false, "b"))
+                  .status());
+  }
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<PagedStore> store,
+                       PagedStore::Open(dir));
+  ASSERT_EQ(store->recovered().size(), 2u);
+  for (const auto& [name, rel] : store->recovered()) {
+    if (name == "a") EXPECT_TRUE(RelationsEqualOrdered(a, rel, 0.0));
+  }
+}
+
 TEST(Database, DurableCatalogSurvivesReopen) {
   const std::string dir = TempDir();
   const Relation m = workload::UniformRelation(300, 2, 21, 0.0, 10.0,
@@ -830,12 +871,48 @@ TEST(Database, PagedSelfCrossProductPlansSyrk) {
     ASSERT_OK_AND_ASSIGN(const Relation plan,
                          db->Execute("EXPLAIN ANALYZE " + q));
     const std::string text = PlanText(plan);
-    EXPECT_NE(text.find("cpd kernel=dense-syrk"), std::string::npos) << text;
-    EXPECT_NE(text.find("(arg2 prepare cached)"), std::string::npos) << text;
+    EXPECT_NE(text.find("op 1: cpd kernel=dense-syrk "), std::string::npos)
+        << text;
+    // The second argument is served by the first one's prepare.
+    EXPECT_NE(text.find(" prepared: 1 hit, 1 miss"), std::string::npos)
+        << text;
   }
   ASSERT_OK_AND_ASSIGN(const Relation want, mem.Execute(q));
   ASSERT_OK_AND_ASSIGN(const Relation got, paged.Execute(q));
   EXPECT_TRUE(testing::BitIdentical(got, want));
+}
+
+/// Plain EXPLAIN reads only shapes: on a store reopened cold it faults in
+/// no page, and it prints what the same EXPLAIN prints over a malloc-backed
+/// twin, shard count included (a paged double column is contiguous once
+/// execution pins it).
+TEST(Database, PagedPlainExplainReadsNoPages) {
+  const std::string dir = TempDir();
+  Rng rng(43);
+  const Relation x =
+      testing::RandomKeyedRelation(100000, 7, &rng, -10, 10, "x");
+  {
+    ASSERT_OK_AND_ASSIGN(sql::Database saved,
+                         sql::Database::Open(dir, PagedStoreOptions{}));
+    ASSERT_OK(saved.Register("x", x));
+  }
+  PagedStoreOptions cold;
+  cold.pool_bytes = 1 << 20;  // smaller than one column of x
+  ASSERT_OK_AND_ASSIGN(sql::Database paged, sql::Database::Open(dir, cold));
+  sql::Database mem;
+  ASSERT_OK(mem.Register("x", x));
+  for (sql::Database* db : {&mem, &paged}) db->rma_options.max_threads = 4;
+
+  const std::string q = "EXPLAIN SELECT * FROM CPD(x BY id, x BY id)";
+  const BufferPoolStats before = paged.paged_store()->pool()->stats();
+  ASSERT_OK_AND_ASSIGN(const Relation got, paged.Execute(q));
+  const BufferPoolStats after = paged.paged_store()->pool()->stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  ASSERT_OK_AND_ASSIGN(const Relation want, mem.Execute(q));
+  EXPECT_NE(PlanText(want).find(" shards="), std::string::npos)
+      << PlanText(want);
+  EXPECT_EQ(PlanText(got), PlanText(want));
 }
 
 /// The order-part memo holds malloc-backed columns only: over a paged

